@@ -7,8 +7,6 @@
 // reproducible for a given seed and parameter set.
 package sim
 
-import "container/heap"
-
 // Time is a point in virtual time, in picoseconds. Picosecond resolution
 // keeps sub-nanosecond service times (e.g. 28.6 ns per inbound WRITE at
 // 35 Mops) exact over billions of operations.
@@ -35,29 +33,93 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // NS converts a nanosecond count to a Time.
 func NS(ns float64) Time { return Time(ns * float64(Nanosecond)) }
 
+// event is one scheduled callback. Exactly one of fn and done is set:
+// done is a Server completion, which receives the event's own time
+// (a job's end always equals the instant its completion runs), so
+// Submit needs no closure to carry it.
 type event struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
-	fn  func()
+	at   Time
+	seq  uint64 // FIFO tie-break for events at the same instant
+	fn   func()
+	done func(end Time)
 }
 
+// before reports whether a runs ahead of b: earlier time first, then
+// earlier scheduling.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq). Holding
+// event values in a typed slice, rather than going through
+// container/heap, keeps every push and pop free of interface boxing.
+// (at, seq) is a total order, so the pop sequence does not depend on
+// the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// heapArity is the heap's fan-out. On BenchmarkEngine* a 4-ary heap
+// matched or slightly beat a binary one at half the depth.
+const heapArity = 4
+
+//herd:hotpath
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event. The vacated slot is
+// zeroed so the backing array does not keep a finished callback, and
+// everything it captures, reachable.
+//
+//herd:hotpath
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		end := c + heapArity
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[best]) {
+				best = j
+			}
+		}
+		if !q[best].before(&last) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -85,27 +147,43 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) runs the event at the current time instead; events at equal
 // times run in scheduling order.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, fn: fn})
-}
+//
+//herd:hotpath
+func (e *Engine) At(t Time, fn func()) { e.schedule(event{at: t, fn: fn}) }
 
 // After schedules fn to run d after the current time.
+//
+//herd:hotpath
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+
+// schedule clamps ev to now, stamps its sequence number and queues it.
+//
+//herd:hotpath
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		ev.at = e.now
+	}
+	e.seq++
+	ev.seq = e.seq
+	e.heap.push(ev)
+}
 
 // Step runs the earliest pending event, advancing the clock to it.
 // It reports whether an event was run.
+//
+//herd:hotpath
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(event)
+	ev := e.heap.pop()
 	e.now = ev.at
 	e.ran++
-	ev.fn()
+	if ev.done != nil {
+		ev.done(ev.at)
+	} else {
+		ev.fn()
+	}
 	return true
 }
 

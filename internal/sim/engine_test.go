@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -331,5 +332,185 @@ func TestServerBusyAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOrderContractProperty checks the engine's ordering contract
+// against a reference: every scheduled event — plain At/After calls,
+// including past times clamped to now and calls made from inside
+// callbacks, and Server completions on multi-unit servers — runs in
+// (at, seq) order, where at is the clamped time and seq the order in
+// which the event was scheduled. An event scheduled during a callback
+// has at >= now and a larger seq than every event before it, so the
+// run order of a whole schedule equals one sort of all its events.
+func TestOrderContractProperty(t *testing.T) {
+	type sched struct {
+		at  Time
+		seq int
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := New()
+		servers := []*Server{NewServer(e, 1), NewServer(e, 2), NewServer(e, 1+r.Intn(4))}
+		var (
+			scheduled []sched
+			order     []int
+			budget    = 200 + r.Intn(400)
+		)
+		// randTime draws from a small range so same-instant ties are
+		// common, and sometimes lands in the past.
+		randTime := func() Time {
+			switch r.Intn(4) {
+			case 0:
+				return e.Now() // same instant as the running callback
+			case 1:
+				return e.Now() - Time(r.Intn(20))*Nanosecond // in the past
+			default:
+				return e.Now() + Time(r.Intn(8))*Nanosecond
+			}
+		}
+		var schedule func()
+		// record registers a new event (clamped time at) and returns the
+		// callback body that logs its run and checks the counters.
+		record := func(at Time) func() {
+			id := len(scheduled)
+			scheduled = append(scheduled, sched{at: at, seq: id})
+			return func() {
+				if e.Now() != at {
+					t.Fatalf("seed %d: event %d ran at %v, scheduled for %v", seed, id, e.Now(), at)
+				}
+				order = append(order, id)
+				if got := e.Processed(); got != uint64(len(order)) {
+					t.Fatalf("seed %d: Processed = %d, want %d", seed, got, len(order))
+				}
+				if got, want := e.Pending(), len(scheduled)-len(order); got != want {
+					t.Fatalf("seed %d: Pending = %d, want %d", seed, got, want)
+				}
+				for n := r.Intn(3); n > 0; n-- {
+					schedule()
+				}
+			}
+		}
+		schedule = func() {
+			if budget == 0 {
+				return
+			}
+			budget--
+			switch r.Intn(3) {
+			case 0:
+				at := randTime()
+				clamped := at
+				if clamped < e.Now() {
+					clamped = e.Now()
+				}
+				e.At(at, record(clamped))
+			case 1:
+				d := Time(r.Intn(8)) * Nanosecond
+				e.After(d, record(e.Now()+d))
+			default:
+				s := servers[r.Intn(len(servers))]
+				svc := Time(r.Intn(6)) * Nanosecond
+				if r.Intn(5) == 0 {
+					s.Submit(svc, nil) // occupies a unit, schedules nothing
+					return
+				}
+				var end Time
+				var body func()
+				end = s.Submit(svc, func(got Time) {
+					if got != end {
+						t.Fatalf("seed %d: done got %v, Submit returned %v", seed, got, end)
+					}
+					body()
+				})
+				body = record(end)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			schedule()
+		}
+		if r.Intn(2) == 0 {
+			e.RunUntil(Time(r.Intn(30)) * Nanosecond)
+			for i := 0; i < 10; i++ {
+				schedule()
+			}
+		}
+		e.Run()
+
+		want := append([]sched(nil), scheduled...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(order) != len(want) {
+			t.Fatalf("seed %d: ran %d events, scheduled %d", seed, len(order), len(want))
+		}
+		for i := range want {
+			if order[i] != want[i].seq {
+				t.Fatalf("seed %d: position %d ran event %d, reference says %d", seed, i, order[i], want[i].seq)
+			}
+		}
+		if e.Processed() != uint64(len(want)) || e.Pending() != 0 {
+			t.Fatalf("seed %d: Processed = %d, Pending = %d after Run", seed, e.Processed(), e.Pending())
+		}
+	}
+}
+
+// scheduleCapturing schedules an event (via At, or as a Server
+// completion) whose callback captures a large object, and returns a
+// channel closed when that object is finalized. It keeps no reference
+// to the object itself.
+func scheduleCapturing(e *Engine, at Time, viaServer bool) <-chan struct{} {
+	freed := make(chan struct{})
+	big := new([1 << 20]byte)
+	runtime.SetFinalizer(big, func(*[1 << 20]byte) { close(freed) })
+	if viaServer {
+		NewServer(e, 1).Submit(at, func(Time) { big[0]++ })
+	} else {
+		e.At(at, func() { big[0]++ })
+	}
+	return freed
+}
+
+// TestPoppedEventReleased checks that a finished callback, and what it
+// captures, becomes garbage once its event has run. Two layouts leave a
+// stale copy behind if the queue does not clear vacated slots: a queue
+// that drains to empty, and a captured event that was the queue's tail
+// when an earlier event popped, run while other events stay pending.
+func TestPoppedEventReleased(t *testing.T) {
+	for _, viaServer := range []bool{false, true} {
+		for _, tail := range []bool{false, true} {
+			e := New()
+			steps, pending := 1, 0
+			if tail {
+				e.At(Nanosecond, func() {})
+				for i := 3; i < 10; i++ {
+					e.At(Time(i)*Nanosecond, func() {})
+				}
+				steps, pending = 2, 7
+			}
+			freed := scheduleCapturing(e, Time(steps)*Nanosecond, viaServer)
+			for i := 0; i < steps; i++ {
+				e.Step()
+			}
+			if e.Pending() != pending {
+				t.Fatalf("Pending = %d, want %d", e.Pending(), pending)
+			}
+			released := false
+			for i := 0; i < 100 && !released; i++ {
+				runtime.GC()
+				runtime.Gosched() // let the finalizer goroutine run
+				select {
+				case <-freed:
+					released = true
+				default:
+				}
+			}
+			if !released {
+				t.Fatalf("viaServer=%v tail=%v: popped event's captures still reachable after GC", viaServer, tail)
+			}
+			runtime.KeepAlive(e)
+		}
 	}
 }

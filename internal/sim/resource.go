@@ -41,6 +41,8 @@ func (s *Server) Utilization() float64 {
 // Submit enqueues a job with the given service time. done (if non-nil)
 // runs when service completes and receives the completion time.
 // Submit returns the scheduled completion time.
+//
+//herd:hotpath
 func (s *Server) Submit(service Time, done func(end Time)) Time {
 	if service < 0 {
 		service = 0
@@ -61,7 +63,7 @@ func (s *Server) Submit(service Time, done func(end Time)) Time {
 	s.busy += service
 	s.jobs++
 	if done != nil {
-		s.eng.At(end, func() { done(end) })
+		s.eng.schedule(event{at: end, done: done})
 	}
 	return end
 }
