@@ -136,6 +136,9 @@ type Client struct {
 	// steady-state issue path allocates nothing.
 	opFree []*pendingOp
 
+	// timerFree is the pool of retry timers (see retryTimer).
+	timerFree []*retryTimer
+
 	issued, completed, retried uint64
 	dupResponses               uint64
 	failed                     uint64 // terminal retry-budget failures
@@ -627,6 +630,16 @@ func (c *Client) retryDelay(k int) sim.Time {
 	return d
 }
 
+// retryTimer is one armed retry timer. Timers are pooled per client
+// with their callback bound once, so arming one allocates nothing; a
+// timer returns to the pool when it fires, stale or not.
+type retryTimer struct {
+	c      *Client
+	op     *pendingOp
+	gen    int
+	onFire func()
+}
+
 // armRetry arms the application-level retry timer (Section 2.2.3's
 // answer to the unreliable transports). The timer captures the op's
 // current attempt generation: a completion, terminal failure, or
@@ -636,28 +649,43 @@ func (c *Client) armRetry(op *pendingOp) {
 	if c.srv.cfg.RetryTimeout <= 0 {
 		return
 	}
-	gen := op.attempt
-	c.machine.Verbs.NIC().Engine().After(c.retryDelay(op.retries), func() {
-		if op.done || op.attempt != gen {
-			return // stale timer: the op completed, failed, or was reissued
-		}
-		if op.retries >= c.srv.cfg.maxRetries() {
-			c.failOp(op)
-			return
-		}
-		op.retries++
-		op.attempt++
-		c.retried++
-		c.telRetried.Inc()
-		op.trace.Mark("retry", c.machine.Verbs.NIC().Engine().Now())
-		// The retry may produce a duplicate response (if the original
-		// response, not the request, was lost): post a spare RECV so the
-		// duplicate cannot starve a later operation's completion.
-		respSlot := (op.proc*c.srv.cfg.Window + op.r%c.srv.cfg.Window) * SlotSize
-		postLossy(c.udQPs[op.proc].PostRecv(c.respMR, respSlot, SlotSize, uint64(op.r)))
-		c.writeRequest(op)
-		c.armRetry(op)
-	})
+	var t *retryTimer
+	if n := len(c.timerFree); n > 0 {
+		t = c.timerFree[n-1]
+		c.timerFree = c.timerFree[:n-1]
+	} else {
+		t = &retryTimer{c: c}
+		t.onFire = t.fire
+	}
+	t.op, t.gen = op, op.attempt
+	c.machine.Verbs.NIC().Engine().After(c.retryDelay(op.retries), t.onFire)
+}
+
+// fire retransmits the timer's op, or fails it once its retry budget
+// is spent, unless the op has moved on since the timer was armed.
+func (t *retryTimer) fire() {
+	c, op, gen := t.c, t.op, t.gen
+	t.op = nil
+	c.timerFree = append(c.timerFree, t)
+	if op.done || op.attempt != gen {
+		return // stale timer: the op completed, failed, or was reissued
+	}
+	if op.retries >= c.srv.cfg.maxRetries() {
+		c.failOp(op)
+		return
+	}
+	op.retries++
+	op.attempt++
+	c.retried++
+	c.telRetried.Inc()
+	op.trace.Mark("retry", c.machine.Verbs.NIC().Engine().Now())
+	// The retry may produce a duplicate response (if the original
+	// response, not the request, was lost): post a spare RECV so the
+	// duplicate cannot starve a later operation's completion.
+	respSlot := (op.proc*c.srv.cfg.Window + op.r%c.srv.cfg.Window) * SlotSize
+	postLossy(c.udQPs[op.proc].PostRecv(c.respMR, respSlot, SlotSize, uint64(op.r)))
+	c.writeRequest(op)
+	c.armRetry(op)
 }
 
 // quarantineSlot delays reuse of op's (proc, r mod W) window slot after

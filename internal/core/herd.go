@@ -384,6 +384,9 @@ type Server struct {
 	// about to WRITE, and serve() picks it up when the keyhash lands.
 	// (SEND/SEND mode instead rides verbs.Completion.Trace.)
 	slotTraces map[int]*telemetry.Trace
+
+	// execFree is the pool of request execution records (see execOp).
+	execFree []*execOp
 }
 
 // NewServer initializes HERD on machine m. It plays the role of the
@@ -1016,6 +1019,23 @@ func (s *Server) respFor(proc, vlen int) []byte {
 	return s.respScratch[proc]
 }
 
+// execOp is one request on its process's core: the CPU service
+// completion and, under sync durability, the group commit its response
+// waits for. Records are pooled per server with their callbacks bound
+// once, so executing a request allocates nothing. A record is released
+// when its response has been posted (or the request died with a crash);
+// a sync-durability record whose commit a crash discards is left to the
+// garbage collector.
+type execOp struct {
+	s     *Server
+	req   request
+	epoch int
+	resp  []byte
+
+	onServed  func(sim.Time)
+	onDurable func()
+}
+
 // execute runs one request on its process's core: poll/RECV handling,
 // MICA work (with or without the prefetch pipeline), and the response
 // SEND.
@@ -1031,140 +1051,171 @@ func (s *Server) execute(req request) {
 		service += s.machine.CPU.Params().RecvRepost
 	}
 
-	epoch := s.epoch
+	var x *execOp
+	if n := len(s.execFree); n > 0 {
+		x = s.execFree[n-1]
+		s.execFree = s.execFree[:n-1]
+	} else {
+		x = &execOp{s: s}
+		x.onServed, x.onDurable = x.served, x.durable
+	}
+	x.req, x.epoch = req, s.epoch
 	s.queued[req.proc]++
 	s.noteService(req.proc, service)
-	s.machine.CPU.Core(req.proc).Submit(service, func(at sim.Time) {
-		// The admission queue drains regardless of crash state: the
-		// increment happened, so the decrement must too.
-		s.queued[req.proc]--
-		// Work queued before a crash dies with the process.
-		if s.down || s.epoch != epoch {
-			return
-		}
-		// The "cpu" span covers poll detection, MICA service, and
-		// response posting; what follows gets the "resp." prefix.
-		req.trace.SetPrefix("")
-		req.trace.Mark("cpu", at)
-		req.trace.SetPrefix("resp.")
-		part := s.parts[req.proc]
-		var resp []byte
-		// logged is non-nil when this request mutated state that the WAL
-		// must record (a successful PUT or DELETE under durability).
-		var logged *wal.Record
-		switch {
-		case isPut:
-			s.puts++
-			var status byte
-			var applied bool
-			var err error
-			if s.cfg.VersionedValues {
-				status, applied, err = s.applyVersionedPut(part, req.key, req.value)
-			} else {
-				err = part.Put(req.key, req.value)
-				status, applied = statusOK, err == nil
-			}
-			if err != nil {
-				status = statusNotFound
-			} else if applied && s.wlog != nil {
-				// The slot's value bytes are zeroed and reused after the
-				// response; the log record needs its own copy.
-				logged = &wal.Record{
-					Op: wal.OpPut, Key: req.key,
-					Value: append([]byte(nil), req.value...),
-					Epoch: epoch,
-				}
-			}
-			resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
-		case isDelete:
-			s.deletes++
-			status := byte(statusNotFound)
-			if part.Delete(req.key) {
-				status = statusOK
-				if s.wlog != nil {
-					logged = &wal.Record{Op: wal.OpDelete, Key: req.key, Epoch: epoch}
-				}
-			}
-			resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
-		default:
-			v, ok := part.Get(req.key)
-			s.gets++
-			if ok {
-				s.getHits++
-				ext := 0
-				if s.cfg.LeaseTTL > 0 {
-					ext = leaseBytes
-				}
-				resp = encodeRespHeader(s.respFor(req.proc, len(v)+ext), statusOK, len(v), req.rMod)
-				copy(resp[respHdr:], v)
-				if ext > 0 {
-					// Grant a lease expiring LeaseTTL from now; the header's
-					// vlen stays the value length, the frame just extends.
-					resp = resp[:respHdr+len(v)+ext]
-					binary.LittleEndian.PutUint64(resp[respHdr+len(v):], uint64(at+s.cfg.LeaseTTL))
-				}
-			} else {
-				resp = encodeRespHeader(s.respFor(req.proc, 0), statusNotFound, 0, req.rMod)
-			}
-		}
+	s.machine.CPU.Core(req.proc).Submit(service, x.onServed)
+}
 
-		respond := func() {
-			// Free the slot for the client's next request: zero LEN + key.
-			if req.slotRaw != nil {
-				zeroTail(req.slotRaw)
-			}
+// release returns x to its server's free list.
+func (x *execOp) release() {
+	x.req, x.resp = request{}, nil
+	x.s.execFree = append(x.s.execFree, x)
+}
 
-			// Response: unsignaled SEND over UD, inlined below the cutoff.
-			inline := len(resp)-respHdr <= s.cfg.InlineCutoff
-			if inline {
-				s.inlineResponses++
-			} else {
-				s.nonInlineResponses++
-			}
-			dest := s.clientQP(req.client, req.proc)
-			if dest == nil {
-				return
-			}
-			wr := verbs.SendWR{
-				Verb:   verbs.SEND,
-				Data:   resp,
-				Dest:   dest,
-				Inline: inline,
-				Trace:  req.trace,
-			}
-			if s.cfg.ResponseBatch <= 1 {
-				postLossy(s.udQPs[req.proc].PostSend(wr))
-				return
-			}
-			s.bufferResponse(req.proc, wr)
+// served runs when the request's CPU service completes: the MICA
+// operation, the WAL record for a mutation, and the response.
+func (x *execOp) served(at sim.Time) {
+	s, req := x.s, &x.req
+	// The admission queue drains regardless of crash state: the
+	// increment happened, so the decrement must too.
+	s.queued[req.proc]--
+	// Work queued before a crash dies with the process.
+	if s.down || s.epoch != x.epoch {
+		x.release()
+		return
+	}
+	// The "cpu" span covers poll detection, MICA service, and
+	// response posting; what follows gets the "resp." prefix.
+	req.trace.SetPrefix("")
+	req.trace.Mark("cpu", at)
+	req.trace.SetPrefix("resp.")
+	part := s.parts[req.proc]
+	// logged is set when this request mutated state that the WAL must
+	// record (a successful PUT or DELETE under durability).
+	var logged wal.Record
+	hasLog := false
+	switch {
+	case req.vlen > 0 && req.vlen != lenDelete: // PUT
+		s.puts++
+		var status byte
+		var applied bool
+		var err error
+		if s.cfg.VersionedValues {
+			status, applied, err = s.applyVersionedPut(part, req.key, req.value)
+		} else {
+			err = part.Put(req.key, req.value)
+			status, applied = statusOK, err == nil
 		}
+		if err != nil {
+			status = statusNotFound
+		} else if applied && s.wlog != nil {
+			// The slot's value bytes are zeroed and reused after the
+			// response; the log record needs its own copy.
+			logged = wal.Record{
+				Op: wal.OpPut, Key: req.key,
+				Value: append([]byte(nil), req.value...),
+				Epoch: x.epoch,
+			}
+			hasLog = true
+		}
+		x.resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
+	case req.vlen == lenDelete:
+		s.deletes++
+		status := byte(statusNotFound)
+		if part.Delete(req.key) {
+			status = statusOK
+			if s.wlog != nil {
+				logged = wal.Record{Op: wal.OpDelete, Key: req.key, Epoch: x.epoch}
+				hasLog = true
+			}
+		}
+		x.resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)
+	default:
+		v, ok := part.Get(req.key)
+		s.gets++
+		if ok {
+			s.getHits++
+			ext := 0
+			if s.cfg.LeaseTTL > 0 {
+				ext = leaseBytes
+			}
+			resp := encodeRespHeader(s.respFor(req.proc, len(v)+ext), statusOK, len(v), req.rMod)
+			copy(resp[respHdr:], v)
+			if ext > 0 {
+				// Grant a lease expiring LeaseTTL from now; the header's
+				// vlen stays the value length, the frame just extends.
+				resp = resp[:respHdr+len(v)+ext]
+				binary.LittleEndian.PutUint64(resp[respHdr+len(v):], uint64(at+s.cfg.LeaseTTL))
+			}
+			x.resp = resp
+		} else {
+			x.resp = encodeRespHeader(s.respFor(req.proc, 0), statusNotFound, 0, req.rMod)
+		}
+	}
 
-		if logged == nil {
-			respond() // reads and failed mutations: nothing to persist
-			return
-		}
-		if s.cfg.Durability == DurabilitySync {
-			// Log-before-ack: the response waits for the record's group
-			// commit. A crash in between drops the callback with the ack
-			// unsent — the client retries and the operation re-executes
-			// idempotently after recovery.
-			s.wlog.Append(*logged, func() {
-				if s.down || s.epoch != epoch {
-					return
-				}
-				req.trace.Mark("wal.flush", s.now())
-				respond()
-			})
-			s.wlog.Flush()
-			return
-		}
-		// Group commit: ack now, persist within the flush window. The
-		// window is the durability exposure — an acked write younger than
-		// the last commit can die with a crash, which is exactly what the
-		// fleet's delta catch-up re-covers from the surviving replica.
-		s.wlog.Append(*logged, nil)
-		respond()
-	})
+	if !hasLog {
+		x.respond() // reads and failed mutations: nothing to persist
+		x.release()
+		return
+	}
+	if s.cfg.Durability == DurabilitySync {
+		// Log-before-ack: the response waits for the record's group
+		// commit. A crash in between drops the callback with the ack
+		// unsent — the client retries and the operation re-executes
+		// idempotently after recovery.
+		s.wlog.Append(logged, x.onDurable)
+		s.wlog.Flush()
+		return
+	}
+	// Group commit: ack now, persist within the flush window. The
+	// window is the durability exposure — an acked write younger than
+	// the last commit can die with a crash, which is exactly what the
+	// fleet's delta catch-up re-covers from the surviving replica.
+	s.wlog.Append(logged, nil)
+	x.respond()
+	x.release()
+}
+
+// durable sends a sync-durability response once its record commits.
+func (x *execOp) durable() {
+	s := x.s
+	if !s.down && s.epoch == x.epoch {
+		x.req.trace.Mark("wal.flush", s.now())
+		x.respond()
+	}
+	x.release()
+}
+
+// respond frees the request's slot and posts its response.
+func (x *execOp) respond() {
+	s, req := x.s, &x.req
+	// Free the slot for the client's next request: zero LEN + key.
+	if req.slotRaw != nil {
+		zeroTail(req.slotRaw)
+	}
+
+	// Response: unsignaled SEND over UD, inlined below the cutoff.
+	inline := len(x.resp)-respHdr <= s.cfg.InlineCutoff
+	if inline {
+		s.inlineResponses++
+	} else {
+		s.nonInlineResponses++
+	}
+	dest := s.clientQP(req.client, req.proc)
+	if dest == nil {
+		return
+	}
+	wr := verbs.SendWR{
+		Verb:   verbs.SEND,
+		Data:   x.resp,
+		Dest:   dest,
+		Inline: inline,
+		Trace:  req.trace,
+	}
+	if s.cfg.ResponseBatch <= 1 {
+		postLossy(s.udQPs[req.proc].PostSend(wr))
+		return
+	}
+	s.bufferResponse(req.proc, wr)
 }
 
 // respFlushDelay bounds how long a buffered response waits for batch

@@ -38,3 +38,38 @@ func TestHotpathAllocFree(t *testing.T) {
 		"encodeRespHeader":      func() { _ = encodeRespHeader(respBuf, statusOK, 8, 1) },
 	})
 }
+
+// TestRequestPathAllocs gates a whole HERD request, end to end: a GET
+// and a PUT, each from submit to its response callback with the engine
+// run to quiescence, on a warmed 1-server cluster with retry timers
+// armed. Every stage between — the client's request WRITE, the wire,
+// the server's poll and CPU completion, the response SEND, the retry
+// timer — runs on a pooled record, so the only allocation left is the
+// GET's Result.Value, the copy the API hands the caller.
+func TestRequestPathAllocs(t *testing.T) {
+	cfg := smallConfig()
+	cfg.RetryTimeout = 20 * sim.Microsecond
+	cl, _, clients := newHERD(t, cfg, 1)
+	c := clients[0]
+	key := kv.FromUint64(7)
+	val := []byte("a value on the request path")
+	var got Result
+	cb := func(r Result) { got = r }
+	for i := 0; i < 64; i++ { // warm every pool and queue
+		_ = c.Put(key, val, cb)
+		_ = c.Get(key, cb)
+		cl.Eng.Run()
+	}
+	get := testing.AllocsPerRun(200, func() { _ = c.Get(key, cb); cl.Eng.Run() })
+	if got.Status != kv.StatusHit || string(got.Value) != string(val) {
+		t.Fatalf("GET = %+v, want a hit on %q", got, val)
+	}
+	put := testing.AllocsPerRun(200, func() { _ = c.Put(key, val, cb); cl.Eng.Run() })
+	if got.Status != kv.StatusHit {
+		t.Fatalf("PUT = %+v, want StatusHit", got)
+	}
+	t.Logf("GET %.1f allocs/op, PUT %.1f allocs/op", get, put)
+	if get+put > 1 {
+		t.Errorf("GET + PUT allocate %.1f + %.1f per op, want at most 1 (the GET's Result.Value)", get, put)
+	}
+}

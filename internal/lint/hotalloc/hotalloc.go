@@ -17,10 +17,12 @@
 //   - calls into in-tree functions that are not themselves annotated
 //     `//herd:hotpath`
 //
-// Infrastructure packages (sim, wire, verbs, nic, pcie, hostmem,
-// cluster, telemetry, kv, fault, stats) are exempt call targets: they
-// model hardware or are nil-safe observability, and the simulator —
-// unlike the real NIC — allocates to model asynchrony. Dynamic calls
+// Infrastructure packages (sim, hostmem, cluster, telemetry, kv, fault,
+// stats) are exempt call targets: the event kernel carries its own
+// AllocsPerRun gate, and the rest is set-up code or nil-safe
+// observability. The verb pipeline packages (pcie, wire, verbs, nic)
+// are not exempt: their request path is annotated and pooled, so a hot
+// path calling into them is held to the same rule. Dynamic calls
 // (interface methods, func values) are not resolved; implementations
 // carry their own annotations.
 //
@@ -54,15 +56,11 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// exemptPkgs are in-tree packages hot paths may call freely: they
-// model hardware (the real counterpart is a NIC or DMA engine, not Go
-// code), or are nil-safe observability that compiles away when unset.
+// exemptPkgs are in-tree packages hot paths may call freely: the
+// event kernel (gated separately at 0 allocs/op), set-up code, and
+// nil-safe observability that compiles away when unset.
 var exemptPkgs = map[string]bool{
 	"sim":       true,
-	"wire":      true,
-	"verbs":     true,
-	"nic":       true,
-	"pcie":      true,
 	"hostmem":   true,
 	"cluster":   true,
 	"telemetry": true,
@@ -166,6 +164,14 @@ func declKey(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
+	}
+	// A generic receiver (T[P] or T[P, Q]) keys by its type name, as
+	// funcKey keys the instantiated callee.
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
 	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name + "." + fd.Name.Name

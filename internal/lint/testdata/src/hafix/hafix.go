@@ -73,3 +73,18 @@ func pipeline(r *ring) {
 	_ = cold() // want `hot path pipeline calls non-hotpath function cold`
 	dep.Slow() // want `hot path pipeline calls non-hotpath function dep\.Slow`
 }
+
+// queue has a generic receiver: its methods key by the type name, the
+// way a call through an instantiation such as queue[int] resolves.
+type queue[T any] struct{ buf []T }
+
+//herd:hotpath
+func (q *queue[T]) size() int { return len(q.buf) }
+
+func (q *queue[T]) grow() { q.buf = make([]T, 2*len(q.buf)+1) }
+
+//herd:hotpath
+func drain(q *queue[int]) {
+	_ = q.size()
+	q.grow() // want `hot path drain calls non-hotpath function queue\.grow`
+}

@@ -1,7 +1,5 @@
 package nic
 
-import "container/list"
-
 // ContextCache is an LRU cache of queue-pair contexts, modeling the
 // RNIC's small on-chip SRAM (Section 3.3). Each verb posted on (or
 // arriving for) a QP must have that QP's context on chip; a miss forces a
@@ -14,12 +12,16 @@ import "container/list"
 // behind Figure 12's client-scaling cliff: past RecvCtxCap concurrently
 // active client QPs, every arrival misses (docs/SCALABILITY.md).
 type ContextCache struct {
-	cap       int
-	ll        *list.List
-	byKey     map[uint64]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	cap int
+	// The LRU list is intrusive: entries live in nodes and link by
+	// index, most recent at head. An eviction reuses the victim's node
+	// for the incoming key, so a full cache touches no heap on a miss.
+	nodes      []ctxNode
+	head, tail int32 // -1 when empty
+	byKey      map[uint64]int32
+	hits       uint64
+	misses     uint64
+	evictions  uint64
 
 	// Per-key accounting: which QP contexts are thrashing. Keys are the
 	// same global QP keys callers pass to Touch.
@@ -36,8 +38,9 @@ type ContextCache struct {
 func NewContextCache(capacity int) *ContextCache {
 	return &ContextCache{
 		cap:        capacity,
-		ll:         list.New(),
-		byKey:      make(map[uint64]*list.Element),
+		head:       -1,
+		tail:       -1,
+		byKey:      make(map[uint64]int32),
 		missByKey:  make(map[uint64]uint64),
 		evictByKey: make(map[uint64]uint64),
 	}
@@ -46,34 +49,80 @@ func NewContextCache(capacity int) *ContextCache {
 // OnEvict registers fn to run with each eviction's victim key.
 func (c *ContextCache) OnEvict(fn func(victim uint64)) { c.onEvict = fn }
 
+// ctxNode is one resident context in the LRU list.
+type ctxNode struct {
+	key        uint64
+	prev, next int32 // -1 at the ends
+}
+
 // Touch records an access to the context for key and reports whether it
 // was resident (true = hit). On a miss the context is fetched and the
 // least recently used entry evicted if the cache is full.
+//
+//herd:hotpath
 func (c *ContextCache) Touch(key uint64) bool {
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
+	if i, ok := c.byKey[key]; ok {
+		c.unlink(i)
+		c.pushFront(i)
 		c.hits++
 		return true
 	}
 	c.misses++
 	c.missByKey[key]++
-	if c.cap > 0 && c.ll.Len() >= c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		victim := oldest.Value.(uint64)
+	var i int32
+	if c.cap > 0 && len(c.byKey) >= c.cap {
+		i = c.tail
+		c.unlink(i)
+		victim := c.nodes[i].key
 		delete(c.byKey, victim)
 		c.evictions++
 		c.evictByKey[victim]++
 		if c.onEvict != nil {
 			c.onEvict(victim)
 		}
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, ctxNode{})
 	}
-	c.byKey[key] = c.ll.PushFront(key)
+	c.nodes[i].key = key
+	c.pushFront(i)
+	c.byKey[key] = i
 	return false
 }
 
+// unlink removes node i from the LRU list.
+//
+//herd:hotpath
+func (c *ContextCache) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev >= 0 {
+		c.nodes[n.prev].next = n.next
+	} else {
+		c.head = n.next
+	}
+	if n.next >= 0 {
+		c.nodes[n.next].prev = n.prev
+	} else {
+		c.tail = n.prev
+	}
+}
+
+// pushFront links node i in as the most recently used.
+//
+//herd:hotpath
+func (c *ContextCache) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = -1, c.head
+	if c.head >= 0 {
+		c.nodes[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
 // Len returns the number of resident contexts.
-func (c *ContextCache) Len() int { return c.ll.Len() }
+func (c *ContextCache) Len() int { return len(c.byKey) }
 
 // Resident reports whether key's context is currently on chip, without
 // recording an access.

@@ -61,19 +61,29 @@ func New(eng *sim.Engine, p Params, bus *pcie.Bus, net *wire.Network, node wire.
 func (n *NIC) Engine() *sim.Engine { return n.eng }
 
 // Params returns the device parameters.
+//
+//herd:hotpath
 func (n *NIC) Params() Params { return n.p }
 
 // Bus returns the host PCIe bus.
+//
+//herd:hotpath
 func (n *NIC) Bus() *pcie.Bus { return n.bus }
 
 // Net returns the fabric.
+//
+//herd:hotpath
 func (n *NIC) Net() *wire.Network { return n.net }
 
 // Node returns this NIC's fabric address.
+//
+//herd:hotpath
 func (n *NIC) Node() wire.NodeID { return n.node }
 
 // PU submits work to the processing-unit pool; done (if non-nil) runs at
 // completion.
+//
+//herd:hotpath
 func (n *NIC) PU(work sim.Time, done func(sim.Time)) {
 	n.pu.Submit(work, done)
 }
@@ -106,6 +116,8 @@ func (n *NIC) SetTelemetry(s *telemetry.Sink) {
 // qpCounter lazily resolves the per-QP context-cache counter for one
 // (side, kind, QP key) triple, or nil (a no-op handle) when the sink is
 // not QP-scoped. Keys are global QP keys: node<<32 | qpn.
+//
+//herd:hotpath
 func (n *NIC) qpCounter(m *map[uint64]*telemetry.Counter, side, kind string, key uint64) *telemetry.Counter {
 	if !n.tel.QPScoped() {
 		return nil
@@ -114,10 +126,10 @@ func (n *NIC) qpCounter(m *map[uint64]*telemetry.Counter, side, kind string, key
 		return c
 	}
 	if *m == nil {
-		*m = make(map[uint64]*telemetry.Counter)
+		*m = make(map[uint64]*telemetry.Counter) //lint:allow hotalloc — per-QP counters exist only on a QP-scoped sink, made once per QP
 	}
 	//lint:allow telemnames — per-QP counters nic.ctxcache.<side>.qp.n<node>.q<qpn>.{misses,evicts} are catalogued in docs/OBSERVABILITY.md
-	c := n.tel.Counter(fmt.Sprintf(
+	c := n.tel.Counter(fmt.Sprintf( //lint:allow hotalloc — named once per QP, then cached in *m
 		"nic.ctxcache.%s.qp.n%d.q%d.%s", side, key>>32, uint32(key), kind))
 	(*m)[key] = c
 	return c
@@ -125,6 +137,8 @@ func (n *NIC) qpCounter(m *map[uint64]*telemetry.Counter, side, kind string, key
 
 // TouchSendCtx records a requester-side context access for qpn and
 // returns the PU stall and added latency it causes (zero on a hit).
+//
+//herd:hotpath
 func (n *NIC) TouchSendCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 	if n.sendCtx.Touch(qpn) {
 		n.telSendHit.Inc()
@@ -137,6 +151,8 @@ func (n *NIC) TouchSendCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 
 // TouchRecvCtx records a responder-side context access for qpn and
 // returns the PU stall and added latency it causes (zero on a hit).
+//
+//herd:hotpath
 func (n *NIC) TouchRecvCtx(qpn uint64) (puExtra, latExtra sim.Time) {
 	if n.recvCtx.Touch(qpn) {
 		n.telRecvHit.Inc()
@@ -158,6 +174,8 @@ func (n *NIC) RecvCtxCache() *ContextCache { return n.recvCtx }
 
 // WQEBytes returns the PIO footprint of a WQE on transport t carrying
 // inline bytes of payload (zero if not inlined).
+//
+//herd:hotpath
 func (n *NIC) WQEBytes(t wire.Transport, inline int) int {
 	base := n.p.WQEBaseRC
 	if t == wire.UD {

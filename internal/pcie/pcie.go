@@ -99,7 +99,6 @@ func Gen2x8() Params {
 // write-combining engine; DMA traffic is full duplex, with separate
 // to-host (device writes) and from-host (device reads) data paths.
 type Bus struct {
-	eng      *sim.Engine
 	p        Params
 	pio      *sim.Server
 	toHost   *sim.Server
@@ -117,7 +116,6 @@ type Bus struct {
 // NewBus returns a bus on eng with the given parameters.
 func NewBus(eng *sim.Engine, p Params) *Bus {
 	return &Bus{
-		eng:      eng,
 		p:        p,
 		pio:      sim.NewServer(eng, 1),
 		toHost:   sim.NewServer(eng, 1),
@@ -141,6 +139,8 @@ func (b *Bus) SetTelemetry(s *telemetry.Sink) {
 }
 
 // Cachelines returns how many write-combining flushes n bytes require.
+//
+//herd:hotpath
 func Cachelines(n int) int {
 	if n <= 0 {
 		return 0
@@ -151,6 +151,8 @@ func Cachelines(n int) int {
 // PIOCost returns the service time of a PIO write of n bytes
 // (doorbell plus write-combined cachelines, with buffer-pressure cost
 // for WQEs beyond two cachelines).
+//
+//herd:hotpath
 func (b *Bus) PIOCost(n int) sim.Time {
 	cls := Cachelines(n)
 	cost := b.p.PerDoorbell + sim.Time(cls)*b.p.PerCacheline
@@ -163,6 +165,8 @@ func (b *Bus) PIOCost(n int) sim.Time {
 // PIOExtraLatency returns the latency a single WQE of n bytes experiences
 // beyond its engine occupancy: within one WQE the CPU's write-combined
 // stores do not pipeline, so each cacheline costs PerCachelineLat.
+//
+//herd:hotpath
 func (b *Bus) PIOExtraLatency(n int) sim.Time {
 	extra := sim.Time(Cachelines(n)) * (b.p.PerCachelineLat - b.p.PerCacheline)
 	if extra < 0 {
@@ -173,20 +177,20 @@ func (b *Bus) PIOExtraLatency(n int) sim.Time {
 
 // PIOWrite submits a PIO write of n bytes (a doorbell carrying an inlined
 // WQE). done, if non-nil, runs when the device has received the full WQE,
-// including the non-pipelined per-cacheline store latency.
+// including the non-pipelined per-cacheline store latency, which delays
+// done without occupying the engine.
+//
+//herd:hotpath
 func (b *Bus) PIOWrite(n int, done func(sim.Time)) {
 	b.telPIOWrites.Inc()
 	b.telPIOBytes.Add(uint64(n))
-	extra := b.PIOExtraLatency(n)
-	b.pio.Submit(b.PIOCost(n), func(sim.Time) {
-		b.eng.After(extra, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.pio.SubmitThen(b.PIOCost(n), b.PIOExtraLatency(n), done)
 }
 
+// xferTime is the data-path occupancy of n bytes: payload plus one TLP
+// header per MaxPayload chunk, at BytesPerSec.
+//
+//herd:hotpath
 func (b *Bus) xferTime(n int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -207,30 +211,22 @@ func (b *Bus) DMAWriteCost(n int) sim.Time { return b.xferTime(n) }
 // DMARead submits a device-initiated read of n bytes from host memory.
 // done runs when the completion data has arrived at the device; it
 // includes the non-posted round-trip latency.
+//
+//herd:hotpath
 func (b *Bus) DMARead(n int, done func(sim.Time)) {
 	b.telNonPostedTx.Inc()
 	b.telNonPostedBytes.Add(uint64(n))
-	b.fromHost.Submit(b.xferTime(n), func(sim.Time) {
-		b.eng.After(b.p.DMAReadLatency, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.fromHost.SubmitThen(b.xferTime(n), b.p.DMAReadLatency, done)
 }
 
 // DMAWrite submits a device-initiated posted write of n bytes to host
 // memory. done runs when the data is visible in host memory.
+//
+//herd:hotpath
 func (b *Bus) DMAWrite(n int, done func(sim.Time)) {
 	b.telPostedTx.Inc()
 	b.telPostedBytes.Add(uint64(n))
-	b.toHost.Submit(b.xferTime(n), func(sim.Time) {
-		b.eng.After(b.p.DMAWriteLatency, func() {
-			if done != nil {
-				done(b.eng.Now())
-			}
-		})
-	})
+	b.toHost.SubmitThen(b.xferTime(n), b.p.DMAWriteLatency, done)
 }
 
 // PIOUtilization reports the PIO engine's utilization so far.

@@ -37,11 +37,17 @@ func NS(ns float64) Time { return Time(ns * float64(Nanosecond)) }
 // done is a Server completion, which receives the event's own time
 // (a job's end always equals the instant its completion runs), so
 // Submit needs no closure to carry it.
+//
+// then marks the first leg of a two-leg SubmitThen completion: it holds
+// the second leg's delay plus one (zero means a single leg). When the
+// first leg runs it re-queues the event at at+delay, stamping the
+// sequence number a nested After would have stamped at that instant.
 type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
 	fn   func()
 	done func(end Time)
+	then Time
 }
 
 // before reports whether a runs ahead of b: earlier time first, then
@@ -179,10 +185,12 @@ func (e *Engine) Step() bool {
 	ev := e.heap.pop()
 	e.now = ev.at
 	e.ran++
-	if ev.done != nil {
+	if ev.done == nil {
+		ev.fn()
+	} else if ev.then == 0 {
 		ev.done(ev.at)
 	} else {
-		ev.fn()
+		e.schedule(event{at: ev.at + ev.then - 1, done: ev.done})
 	}
 	return true
 }

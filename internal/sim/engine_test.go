@@ -514,3 +514,107 @@ func TestPoppedEventReleased(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitThenTieOrder pins SubmitThen's ordering contract on the
+// case that distinguishes it: the second leg is sequenced when the
+// first leg runs, so an event scheduled for the same instant before
+// then runs first — as it would after a nested After, and unlike an
+// event queued straight at end+delay at submit time.
+func TestSubmitThenTieOrder(t *testing.T) {
+	e := New()
+	s := NewServer(e, 1)
+	var order []string
+	s.SubmitThen(10*Nanosecond, 5*Nanosecond, func(at Time) {
+		if at != 15*Nanosecond {
+			t.Fatalf("second leg ran at %v, want 15ns", at)
+		}
+		order = append(order, "then")
+	})
+	e.At(15*Nanosecond, func() { order = append(order, "at") })
+	e.Run()
+	if len(order) != 2 || order[0] != "at" || order[1] != "then" {
+		t.Fatalf("order = %v, want [at then]", order)
+	}
+	if e.Processed() != 3 {
+		t.Fatalf("Processed = %d, want 3 (two legs plus the At)", e.Processed())
+	}
+}
+
+// TestSubmitThenMatchesNestedAfter replays random schedules twice — two-
+// leg completions once through SubmitThen, once as a Submit whose
+// completion calls After — and requires the same run log (event, time)
+// and event count, including same-instant ties, nil completions and
+// past-time clamping.
+func TestSubmitThenMatchesNestedAfter(t *testing.T) {
+	type entry struct {
+		id int
+		at Time
+	}
+	reference := func(s *Server, service, delay Time, done func(Time)) {
+		s.Submit(service, func(Time) {
+			s.eng.After(delay, func() {
+				if done != nil {
+					done(s.eng.Now())
+				}
+			})
+		})
+	}
+	run := func(seed int64, twoLeg func(s *Server, service, delay Time, done func(Time))) ([]entry, uint64) {
+		r := rand.New(rand.NewSource(seed))
+		e := New()
+		servers := []*Server{NewServer(e, 1), NewServer(e, 3)}
+		var log []entry
+		budget, next := 400, 0
+		var schedule func()
+		body := func() func() {
+			id := next
+			next++
+			return func() {
+				log = append(log, entry{id, e.Now()})
+				for n := r.Intn(3); n > 0; n-- {
+					schedule()
+				}
+			}
+		}
+		schedule = func() {
+			if budget == 0 {
+				return
+			}
+			budget--
+			d := Time(r.Intn(6)) * Nanosecond
+			switch r.Intn(4) {
+			case 0:
+				e.At(e.Now()+d-2*Nanosecond, body())
+			case 1:
+				fn := body()
+				servers[r.Intn(2)].Submit(d, func(Time) { fn() })
+			default:
+				s := servers[r.Intn(2)]
+				delay := Time(r.Intn(4)) * Nanosecond
+				if r.Intn(6) == 0 {
+					twoLeg(s, d, delay, nil)
+					return
+				}
+				fn := body()
+				twoLeg(s, d, delay, func(Time) { fn() })
+			}
+		}
+		for i := 0; i < 10; i++ {
+			schedule()
+		}
+		e.Run()
+		return log, e.Processed()
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		got, gotN := run(seed, func(s *Server, service, delay Time, done func(Time)) { s.SubmitThen(service, delay, done) })
+		want, wantN := run(seed, reference)
+		if gotN != wantN || len(got) != len(want) {
+			t.Fatalf("seed %d: SubmitThen ran %d events (%d logged), reference %d (%d)", seed, gotN, len(got), wantN, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: position %d ran %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -10,8 +10,8 @@ import (
 // functions at 0 allocs/op. The queue is grown to capacity first and
 // every callback is built outside the measured closures, so what is
 // measured is the kernel itself: typed heap pushes and pops, no
-// interface boxing, and Server completions that carry done directly
-// instead of wrapping it in a closure.
+// interface boxing, and Server completions (one leg or two) that carry
+// done directly instead of wrapping it in a closure.
 func TestHotpathAllocFree(t *testing.T) {
 	e := New()
 	s := NewServer(e, 2)
@@ -27,12 +27,14 @@ func TestHotpathAllocFree(t *testing.T) {
 	}
 	h = h[:0]
 	hotgate.Check(t, ".", map[string]func(){
-		"Engine.At":       func() { e.At(e.Now()+Nanosecond, fn); e.Step() },
-		"Engine.After":    func() { e.After(Nanosecond, fn); e.Step() },
-		"Engine.schedule": func() { e.schedule(event{at: e.Now(), done: done}); e.Step() },
-		"Engine.Step":     func() { e.At(e.Now(), fn); e.Step() },
-		"Server.Submit":   func() { s.Submit(10*Nanosecond, done); e.Step() },
-		"eventHeap.push":  func() { h.push(event{at: 1, fn: fn}); h.pop() },
-		"eventHeap.pop":   func() { h.push(event{at: 2, done: done}); h.pop() },
+		"Engine.At":         func() { e.At(e.Now()+Nanosecond, fn); e.Step() },
+		"Engine.After":      func() { e.After(Nanosecond, fn); e.Step() },
+		"Engine.schedule":   func() { e.schedule(event{at: e.Now(), done: done}); e.Step() },
+		"Engine.Step":       func() { e.At(e.Now(), fn); e.Step() },
+		"Server.Submit":     func() { s.Submit(10*Nanosecond, done); e.Step() },
+		"Server.SubmitThen": func() { s.SubmitThen(10*Nanosecond, 5*Nanosecond, done); e.Step(); e.Step() },
+		"Server.reserve":    func() { s.reserve(10 * Nanosecond) },
+		"eventHeap.push":    func() { h.push(event{at: 1, fn: fn}); h.pop() },
+		"eventHeap.pop":     func() { h.push(event{at: 2, done: done}); h.pop() },
 	})
 }

@@ -44,10 +44,47 @@ func (s *Server) Utilization() float64 {
 //
 //herd:hotpath
 func (s *Server) Submit(service Time, done func(end Time)) Time {
+	end := s.reserve(service)
+	if done != nil {
+		s.eng.schedule(event{at: end, done: done})
+	}
+	return end
+}
+
+// SubmitThen enqueues a job like Submit, then delays its completion:
+// done runs delay after service ends, without occupying the server for
+// it (a pipelined latency, such as a DMA round trip or a link's
+// propagation). It schedules exactly the events, in exactly the order,
+// of a Submit whose completion calls After(delay, ...): one event at
+// the service end and, when that runs, a second at end+delay whose
+// sequence number is stamped then. Scheduling straight at end+delay
+// would stamp it earlier and reorder same-instant ties. Both events
+// run even when done is nil. SubmitThen returns the service end.
+//
+//herd:hotpath
+func (s *Server) SubmitThen(service, delay Time, done func(at Time)) Time {
+	if done == nil {
+		done = nop
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	end := s.reserve(service)
+	s.eng.schedule(event{at: end, done: done, then: delay + 1})
+	return end
+}
+
+// nop is SubmitThen's stand-in for a nil completion.
+func nop(Time) {}
+
+// reserve books service time on the unit that frees earliest (FIFO
+// across the pool) and returns the job's end.
+//
+//herd:hotpath
+func (s *Server) reserve(service Time) Time {
 	if service < 0 {
 		service = 0
 	}
-	// Pick the unit that frees earliest (FIFO across the pool).
 	best := 0
 	for i := 1; i < len(s.freeAt); i++ {
 		if s.freeAt[i] < s.freeAt[best] {
@@ -62,9 +99,6 @@ func (s *Server) Submit(service Time, done func(end Time)) Time {
 	s.freeAt[best] = end
 	s.busy += service
 	s.jobs++
-	if done != nil {
-		s.eng.schedule(event{at: end, done: done})
-	}
 	return end
 }
 

@@ -7,7 +7,7 @@ package verbs
 // substrate for RC/UC SEND servers.)
 type SRQ struct {
 	host  *Host
-	queue []recvBuf
+	queue fifo[recvBuf]
 }
 
 // CreateSRQ returns an empty shared receive queue on h.
@@ -18,12 +18,12 @@ func (s *SRQ) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	if off < 0 || n < 0 || off+n > len(mr.buf) {
 		return ErrBounds
 	}
-	s.queue = append(s.queue, recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	s.queue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
 // Len reports posted RECVs.
-func (s *SRQ) Len() int { return len(s.queue) }
+func (s *SRQ) Len() int { return s.queue.len() }
 
 // AttachSRQ makes qp consume RECVs from s instead of its own receive
 // queue. Completions still arrive on the QP's recv CQ. A QP must be
@@ -32,19 +32,15 @@ func (qp *QP) AttachSRQ(s *SRQ) { qp.srq = s }
 
 // popRecv takes the next RECV for an inbound SEND, honoring SRQ
 // attachment.
+//
+//herd:hotpath
 func (qp *QP) popRecv() (recvBuf, bool) {
+	q := &qp.recvQueue
 	if qp.srq != nil {
-		if len(qp.srq.queue) == 0 {
-			return recvBuf{}, false
-		}
-		rb := qp.srq.queue[0]
-		qp.srq.queue = qp.srq.queue[1:]
-		return rb, true
+		q = &qp.srq.queue
 	}
-	if len(qp.recvQueue) == 0 {
+	if q.len() == 0 {
 		return recvBuf{}, false
 	}
-	rb := qp.recvQueue[0]
-	qp.recvQueue = qp.recvQueue[1:]
-	return rb, true
+	return q.pop(), true
 }

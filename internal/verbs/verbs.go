@@ -86,14 +86,22 @@ func SupportedVerbs(t wire.Transport) []Verb {
 }
 
 // reliable reports whether t acknowledges delivery (RC and DC).
+//
+//herd:hotpath
 func reliable(t wire.Transport) bool { return t == wire.RC || t == wire.DC }
 
-// Supports reports whether transport t supports verb v.
+// Supports reports whether transport t supports verb v (Table 1, as
+// SupportedVerbs lists it).
+//
+//herd:hotpath
 func Supports(t wire.Transport, v Verb) bool {
-	for _, s := range SupportedVerbs(t) {
-		if s == v {
-			return true
-		}
+	switch v {
+	case SEND, RECV:
+		return true
+	case WRITE:
+		return t == wire.RC || t == wire.UC || t == wire.DC
+	case READ:
+		return t == wire.RC || t == wire.DC
 	}
 	return false
 }
@@ -114,6 +122,8 @@ type watcher struct {
 func (m *MR) Bytes() []byte { return m.buf }
 
 // Len returns the region size.
+//
+//herd:hotpath
 func (m *MR) Len() int { return len(m.buf) }
 
 // Watch registers fn to run whenever an inbound WRITE lands in
@@ -124,6 +134,9 @@ func (m *MR) Watch(lo, hi int, fn func(off, n int)) {
 	m.watchers = append(m.watchers, watcher{lo: lo, hi: hi, fn: fn})
 }
 
+// landed runs the watchers whose range [off, off+n) overlaps.
+//
+//herd:hotpath
 func (m *MR) landed(off, n int) {
 	for _, w := range m.watchers {
 		if off < w.hi && off+n > w.lo {
@@ -189,6 +202,9 @@ func (cq *CQ) Poll(max int) []Completion {
 // Pending returns the number of queued completions.
 func (cq *CQ) Pending() int { return len(cq.queue) }
 
+// push hands c to the handler, or queues it for Poll.
+//
+//herd:hotpath
 func (cq *CQ) push(c Completion) {
 	if cq.handler != nil {
 		cq.handler(c)
@@ -205,6 +221,14 @@ type Host struct {
 	nic     *nic.NIC
 	qps     map[uint32]*QP
 	nextQPN uint32
+
+	// Free lists of the pooled records that carry verbs through the
+	// model (see sendOp). Each fills lazily to the host's peak number
+	// of verbs in flight and is reused from then on.
+	opFree    []*sendOp
+	ackFree   []*ackOp
+	cqeFree   []*cqeOp
+	batchFree []*batchOp
 
 	// Telemetry (nil handles when un-instrumented): per-verb posted and
 	// completed counters, inlined-vs-DMA'd and signaled-vs-unsignaled
@@ -250,9 +274,13 @@ func (h *Host) SetTelemetry(s *telemetry.Sink) {
 func (h *Host) Telemetry() *telemetry.Sink { return h.tel }
 
 // NIC returns the underlying device model.
+//
+//herd:hotpath
 func (h *Host) NIC() *nic.NIC { return h.nic }
 
 // Node returns the host's fabric address.
+//
+//herd:hotpath
 func (h *Host) Node() wire.NodeID { return h.nic.Node() }
 
 // RegisterMR registers size bytes of memory with the NIC.
@@ -278,12 +306,12 @@ type QP struct {
 
 	remote *QP // connected transports only
 
-	recvQueue []recvBuf
+	recvQueue fifo[recvBuf]
 
 	// opQueue holds posted work requests in strict FIFO order until
 	// their PIO/payload-fetch phase completes and the READ window allows
 	// them to issue.
-	opQueue []*sendOp
+	opQueue fifo[*sendOp]
 
 	// outstandingReads counts in-flight READs against ReadWindow.
 	outstandingReads int
@@ -302,7 +330,7 @@ type QP struct {
 	rxGate sim.Time
 
 	// RC ordering: ACKed completions pop in post order.
-	awaitingAck []pendingAck
+	awaitingAck fifo[pendingAck]
 
 	droppedSends uint64 // inbound SENDs discarded for lack of a RECV
 
@@ -319,9 +347,15 @@ type QP struct {
 	qpPosted [ATOMIC + 1]*telemetry.Counter
 }
 
+// pendingAck is an RC WRITE or SEND on the wire, awaiting its ACK. It
+// keeps only what the completion needs, not the work request (whose
+// Data would pin the caller's buffer).
 type pendingAck struct {
-	wr    SendWR
-	bytes int
+	wrid     uint64
+	verb     Verb
+	signaled bool
+	bytes    int
+	trace    *telemetry.Trace
 }
 
 // CreateQP creates a queue pair on transport t with fresh completion
@@ -352,6 +386,8 @@ func (h *Host) CreateQP(t wire.Transport) *QP {
 // this QP's) counters. payload and inline describe the payload path:
 // inlined payloads ride the PIO'd WQE, non-inlined ones cost a DMA
 // fetch.
+//
+//herd:hotpath
 func (qp *QP) countPost(v Verb, payloadLen int, inline, signaled bool) {
 	h := qp.host
 	h.telPosted[v].Inc()
@@ -400,27 +436,32 @@ func (qp *QP) SetError() {
 		return
 	}
 	qp.errored = true
-	for _, op := range qp.opQueue {
+	// Flushed ops stay out of the host's pool: their PIO or fetch
+	// events are still pending and will touch them (see sendOp).
+	for i := 0; i < qp.opQueue.len(); i++ {
+		op := qp.opQueue.at(i)
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: op.wr.WRID, Verb: op.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.opQueue = nil
-	for _, pa := range qp.awaitingAck {
+	qp.opQueue.clear()
+	for i := 0; i < qp.awaitingAck.len(); i++ {
+		pa := qp.awaitingAck.at(i)
 		qp.sendCQ.push(Completion{
-			QPN: qp.qpn, WRID: pa.wr.WRID, Verb: pa.wr.Verb,
+			QPN: qp.qpn, WRID: pa.wrid, Verb: pa.verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.awaitingAck = nil
-	for _, rb := range qp.recvQueue {
+	qp.awaitingAck.clear()
+	for i := 0; i < qp.recvQueue.len(); i++ {
+		rb := qp.recvQueue.at(i)
 		qp.recvCQ.push(Completion{
 			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.recvQueue = nil
+	qp.recvQueue.clear()
 	qp.outstandingReads = 0
 }
 
@@ -444,6 +485,8 @@ func Connect(a, b *QP) error {
 func (qp *QP) Remote() *QP { return qp.remote }
 
 // globalKey identifies a QP across the whole fabric for context caching.
+//
+//herd:hotpath
 func (qp *QP) globalKey() uint64 {
 	return uint64(qp.host.Node())<<32 | uint64(qp.qpn)
 }
@@ -452,6 +495,8 @@ func (qp *QP) globalKey() uint64 {
 // to this QP. All DC traffic into a host shares one DC target context
 // (the transport's scalability property); every other transport keeps
 // per-QP receive state.
+//
+//herd:hotpath
 func (qp *QP) recvCtxKey() uint64 {
 	if qp.transport == wire.DC {
 		return uint64(qp.host.Node())<<32 | 0x00dc00dc
@@ -463,6 +508,8 @@ func (qp *QP) recvCtxKey() uint64 {
 // SENDs consume RECVs in FIFO order; a SEND arriving with no RECV posted
 // is dropped (UC/UD semantics; our RC model counts it as dropped too
 // rather than modeling RNR retries).
+//
+//herd:hotpath
 func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	if qp.errored {
 		return ErrQPState
@@ -472,12 +519,12 @@ func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	}
 	qp.host.telPosted[RECV].Inc()
 	qp.qpPosted[RECV].Inc()
-	qp.recvQueue = append(qp.recvQueue, recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	qp.recvQueue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
 // RecvQueueLen reports how many RECVs are currently posted.
-func (qp *QP) RecvQueueLen() int { return len(qp.recvQueue) }
+func (qp *QP) RecvQueueLen() int { return qp.recvQueue.len() }
 
 // SendWR describes a work request for PostSend.
 type SendWR struct {

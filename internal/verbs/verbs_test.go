@@ -53,6 +53,18 @@ func TestSupportMatrixTable1(t *testing.T) {
 			t.Errorf("Supports(%v, %v) = %v, want %v", c.tr, c.verb, got, c.want)
 		}
 	}
+	// Supports agrees with SupportedVerbs on every transport and verb.
+	for _, tr := range []wire.Transport{wire.RC, wire.UC, wire.UD, wire.DC} {
+		for v := WRITE; v <= ATOMIC; v++ {
+			listed := false
+			for _, s := range SupportedVerbs(tr) {
+				listed = listed || s == v
+			}
+			if Supports(tr, v) != listed {
+				t.Errorf("Supports(%v, %v) = %v, SupportedVerbs lists it: %v", tr, v, !listed, listed)
+			}
+		}
+	}
 }
 
 func TestWriteMovesBytes(t *testing.T) {

@@ -93,6 +93,8 @@ func (t Transport) String() string {
 
 // Header returns the per-packet header bytes for transport t. DC packets
 // carry an extra DC access-key header over RC's.
+//
+//herd:hotpath
 func (p Params) Header(t Transport) int {
 	switch t {
 	case RC:
@@ -150,6 +152,7 @@ type Network struct {
 	ports map[NodeID]*port
 	rnd   *sim.Rand
 	fault FaultHook
+	free  []*packet // pooled packet records (see packet)
 
 	sent      uint64
 	dropped   uint64
@@ -162,6 +165,8 @@ func NewNetwork(eng *sim.Engine, p Params, seed int64) *Network {
 }
 
 // Params returns the fabric parameters.
+//
+//herd:hotpath
 func (n *Network) Params() Params { return n.p }
 
 // SetLossRate adjusts the bit-error drop probability at runtime (for
@@ -178,6 +183,8 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // fate is the single packet-fate decision point: the injected fault
 // hook first, then the uniform bit-error loss rate.
+//
+//herd:hotpath
 func (n *Network) fate(src, dst NodeID) Fate {
 	if n.fault != nil {
 		if f := n.fault(src, dst, n.eng.Now()); f != FateDeliver {
@@ -202,6 +209,9 @@ func (n *Network) AddNode(id NodeID) {
 	}
 }
 
+// mustPort returns id's port; the node must have been added.
+//
+//herd:hotpath
 func (n *Network) mustPort(id NodeID) *port {
 	p, ok := n.ports[id]
 	if !ok {
@@ -211,11 +221,15 @@ func (n *Network) mustPort(id NodeID) *port {
 }
 
 // SerializationTime returns the time to clock wireBytes onto a link.
+//
+//herd:hotpath
 func (n *Network) SerializationTime(wireBytes int) sim.Time {
 	return sim.Time(float64(wireBytes*8) / (n.p.Gbps * 1e9) * float64(sim.Second))
 }
 
 // WireBytes returns payload plus header size for one packet on t.
+//
+//herd:hotpath
 func (n *Network) WireBytes(t Transport, payload int) int {
 	return payload + n.p.Header(t)
 }
@@ -231,8 +245,10 @@ func (n *Network) Corrupted() uint64 { return n.corrupted }
 // transport t. deliver runs when the packet has fully arrived; it is
 // never called if the packet is dropped or corrupted (control-path
 // semantics: hardware CRCs catch corruption and discard the packet).
+//
+//herd:hotpath
 func (n *Network) Send(src, dst NodeID, t Transport, payload int, deliver func(sim.Time)) {
-	n.SendData(src, dst, t, payload, dropCorrupt(deliver))
+	n.sendSegmented(src, dst, n.WireBytes(t, payload), nil, deliver)
 }
 
 // SendData transmits like Send but surfaces corruption: deliver runs
@@ -240,8 +256,10 @@ func (n *Network) Send(src, dst NodeID, t Transport, payload int, deliver func(s
 // them. Data-path verbs (UC WRITE, UD SEND) use it to land damaged
 // payloads the application must reject — the paper's Section 7 point
 // that unreliable transports push integrity to the application.
+//
+//herd:hotpath
 func (n *Network) SendData(src, dst NodeID, t Transport, payload int, deliver func(Delivery)) {
-	n.sendSegmented(src, dst, n.WireBytes(t, payload), deliver)
+	n.sendSegmented(src, dst, n.WireBytes(t, payload), deliver, nil)
 }
 
 // SendWire transmits a packet of an explicit wire size (used for ACKs and
@@ -249,74 +267,114 @@ func (n *Network) SendData(src, dst NodeID, t Transport, payload int, deliver fu
 // segment pays its own header and serialization, and delivery fires when
 // the final segment has fully arrived. Corrupted control packets are
 // discarded (never delivered).
+//
+//herd:hotpath
 func (n *Network) SendWire(src, dst NodeID, wireBytes int, deliver func(sim.Time)) {
-	n.sendSegmented(src, dst, wireBytes, dropCorrupt(deliver))
+	n.sendSegmented(src, dst, wireBytes, nil, deliver)
 }
 
-// dropCorrupt adapts a corruption-blind callback: corrupt arrivals are
-// simply discarded.
-func dropCorrupt(deliver func(sim.Time)) func(Delivery) {
-	return func(d Delivery) {
-		if d.Corrupt || deliver == nil {
-			return
-		}
-		deliver(d.At)
-	}
-}
-
-func (n *Network) sendSegmented(src, dst NodeID, wireBytes int, deliver func(Delivery)) {
+// sendSegmented sends one message, split into MTU-sized segments when it
+// does not fit one packet. At most one of deliver (data path) and
+// deliverAt (control path) is set.
+//
+//herd:hotpath
+func (n *Network) sendSegmented(src, dst NodeID, wireBytes int, deliver func(Delivery), deliverAt func(sim.Time)) {
 	hdr := n.p.HdrUC // segmentation framing approximated by the UC header
 	maxPkt := n.p.MTU + hdr
 	if n.p.MTU <= 0 || wireBytes <= maxPkt {
-		n.sendOne(src, dst, wireBytes, deliver)
+		n.sendOne(src, dst, wireBytes, deliver, deliverAt, false)
 		return
 	}
 	// Split into segments, each with its own header. The message is
 	// delivered only when every segment has arrived — a dropped segment
 	// (which produces no arrival) suppresses delivery entirely, and a
-	// corrupted segment taints the whole message.
-	var sizes []int
+	// corrupted segment taints the whole message. Segments share both
+	// ports' FIFOs, so the final one arrives last: it alone carries the
+	// delivery, with the fates of the ones before it folded in.
+	lost, tainted := false, false
 	rest := wireBytes
 	for rest > maxPkt {
-		sizes = append(sizes, maxPkt)
+		switch n.sendOne(src, dst, maxPkt, nil, nil, false) {
+		case FateDrop:
+			lost = true
+		case FateCorrupt:
+			tainted = true
+		}
 		rest = rest - maxPkt + hdr
 	}
-	sizes = append(sizes, rest)
-	arrived := 0
-	tainted := false
-	for _, sz := range sizes {
-		n.sendOne(src, dst, sz, func(d Delivery) {
-			arrived++
-			tainted = tainted || d.Corrupt
-			if arrived == len(sizes) && deliver != nil {
-				deliver(Delivery{At: d.At, Corrupt: tainted})
-			}
-		})
+	if lost {
+		deliver, deliverAt = nil, nil
 	}
+	n.sendOne(src, dst, rest, deliver, deliverAt, tainted)
 }
 
-func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery)) {
+// packet is one pooled transmission in flight: egress serialization
+// and propagation, then ingress serialization at the receiver. Its
+// stage callbacks are bound once, when the record is first allocated;
+// it returns to the network's free list when it arrives. Dropped
+// packets never take one.
+type packet struct {
+	net       *Network
+	ingress   *sim.Server
+	ser       sim.Time
+	corrupt   bool
+	deliver   func(Delivery) // data path: sees corrupt arrivals
+	deliverAt func(sim.Time) // control path: corrupt arrivals discarded
+
+	onEgress, onIngress func(sim.Time)
+}
+
+// sendOne transmits one packet and reports its fate. taint marks an
+// intact packet as carrying a corrupted message (an earlier segment was
+// damaged).
+//
+//herd:hotpath
+func (n *Network) sendOne(src, dst NodeID, wireBytes int, deliver func(Delivery), deliverAt func(sim.Time), taint bool) Fate {
 	sp, dp := n.mustPort(src), n.mustPort(dst)
 	n.sent++
-	corrupt := false
-	switch n.fate(src, dst) {
+	f := n.fate(src, dst)
+	switch f {
 	case FateDrop:
 		n.dropped++
-		return
+		return f
 	case FateCorrupt:
 		n.corrupted++
-		corrupt = true
 	}
-	ser := n.SerializationTime(wireBytes)
-	sp.egress.Submit(ser, func(sim.Time) {
-		n.eng.After(n.p.PropDelay, func() {
-			dp.ingress.Submit(ser, func(end sim.Time) {
-				if deliver != nil {
-					deliver(Delivery{At: end, Corrupt: corrupt})
-				}
-			})
-		})
-	})
+	var pk *packet
+	if k := len(n.free); k > 0 {
+		pk = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		pk = &packet{net: n} //lint:allow hotalloc — pool growth, once per peak packet in flight
+		pk.onEgress, pk.onIngress = pk.propagated, pk.arrived
+	}
+	pk.ingress = dp.ingress
+	pk.ser = n.SerializationTime(wireBytes)
+	pk.corrupt = f == FateCorrupt || taint
+	pk.deliver, pk.deliverAt = deliver, deliverAt
+	sp.egress.SubmitThen(pk.ser, n.p.PropDelay, pk.onEgress)
+	return f
+}
+
+// propagated runs when the packet has left the sender's port and
+// crossed the switch: it serializes again into the receiver's port.
+//
+//herd:hotpath
+func (pk *packet) propagated(sim.Time) { pk.ingress.Submit(pk.ser, pk.onIngress) }
+
+// arrived releases the packet and delivers it.
+//
+//herd:hotpath
+func (pk *packet) arrived(end sim.Time) {
+	deliver, deliverAt, corrupt := pk.deliver, pk.deliverAt, pk.corrupt
+	pk.ingress, pk.deliver, pk.deliverAt = nil, nil, nil
+	pk.net.free = append(pk.net.free, pk)
+	switch {
+	case deliver != nil:
+		deliver(Delivery{At: end, Corrupt: corrupt})
+	case deliverAt != nil && !corrupt:
+		deliverAt(end)
+	}
 }
 
 // IngressUtilization reports node id's receive-link utilization.
