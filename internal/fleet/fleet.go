@@ -68,20 +68,24 @@ type Config struct {
 	// (default 100us when tracking is on). Counts age out after at most
 	// two windows, so a key that cools stops widening.
 	HotKeyWindow sim.Time
-	// Versioned switches the fleet to version-stamped replication:
-	// every write carries a kv.Version prefix ([epoch 8][seq 8]
-	// [flags 1]) inside the stored value, member servers apply
-	// mutations in stamp order (core.Config.VersionedValues), deletes
-	// become tombstones, writes succeed only when EVERY replica acks
-	// (a straggler failure is a partial write, not a success), and
-	// reads fan to all replicas and return the highest-stamped state.
-	// Off by default — the paper's unversioned first-ack fan-out.
-	Versioned bool
-	// ReadRepair, with Versioned, back-fills divergent replicas: a
-	// read that observes a replica behind the winning version rewrites
-	// the winner to it, and partial writes enqueue their key for the
+	// Versioned turns on versioned, repairing replication: every
+	// replication round reads and writes all N replicas (R=W=N) instead
+	// of the default R=1, W=1. Every write carries a kv.Version prefix
+	// ([epoch 8][seq 8][flags 1]) inside the stored value, member
+	// servers apply mutations in stamp order
+	// (core.Config.VersionedValues), deletes become tombstones, a write
+	// succeeds only when EVERY replica acks (a straggler failure is a
+	// partial write, not a success), and a read returns the
+	// highest-stamped state. Divergent replicas are back-filled: a read
+	// that observes a replica behind the winning version rewrites the
+	// winner to it, and partial writes enqueue their key for the
 	// background anti-entropy sweep (paced by MigrationBatch /
-	// MigrationInterval, like migration). Implies Versioned.
+	// MigrationInterval, like migration). Off by default — the paper's
+	// unversioned first-ack fan-out, which reads one replica (failing
+	// over down the read order) and succeeds on the first write ack.
+	Versioned bool
+	// ReadRepair is a synonym for Versioned: either one turns on
+	// versioned, repairing replication.
 	ReadRepair bool
 	// Mux, when non-nil, routes each fleet client's per-shard
 	// sub-clients through a shared endpoint (internal/mux) instead of
@@ -144,13 +148,10 @@ func (c *Config) setDefaults() {
 			c.HotKeyWindow = 100 * sim.Microsecond
 		}
 	}
-	// Repair is meaningless without version stamps to order replica
-	// states, and stamps are only applied server-side when the member
-	// config says so.
-	if c.ReadRepair {
-		c.Versioned = true
-	}
-	if c.Versioned {
+	// Stamps are only applied server-side when the member config says
+	// so.
+	if c.ReadRepair || c.Versioned {
+		c.Versioned, c.ReadRepair = true, true
 		c.Herd.VersionedValues = true
 	}
 	// Brownout handling needs shed sub-operations to resolve: without a

@@ -45,80 +45,96 @@ func newFleetCfg(t *testing.T, cfg Config, nShards, nClients int, seed int64) (*
 // start a probation or a reconnect — busy is backpressure from a live
 // shard, and treating it as a crash would churn failover exactly when
 // the fleet can least afford it.
+//
+// Both replication modes share the round's outcome handling, so both
+// run it. Only first-ack reads count replica reads: a read-all round
+// asks every replica anyway.
 func TestBusyNeverSuspects(t *testing.T) {
-	cl, d, clients := newFleetCfg(t, brownoutConfig(), 2, 1, 11)
-	c := clients[0]
-	key := kv.FromUint64(77)
-	val := []byte("brownout value")
-	if err := d.Preload(key, val); err != nil {
-		t.Fatal(err)
-	}
-	reps := d.Replicas(key)
-	if len(reps) < 2 {
-		t.Fatalf("replica set %v too small", reps)
-	}
-	primary := reps[0]
-	// Brown out only the primary: queue cap 1 sheds every request that
-	// arrives while one is in service.
-	d.Server(primary).SetAdmissionLimit(1)
+	for _, m := range replicationModes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := brownoutConfig()
+			cfg.Versioned = m.versioned
+			cl, d, clients := newFleetCfg(t, cfg, 2, 1, 11)
+			c := clients[0]
+			key := kv.FromUint64(77)
+			val := []byte("brownout value")
+			if err := d.Preload(key, val); err != nil {
+				t.Fatal(err)
+			}
+			reps := d.Replicas(key)
+			if len(reps) < 2 {
+				t.Fatalf("replica set %v too small", reps)
+			}
+			primary := reps[0]
+			// Brown out only the primary: queue cap 1 sheds every
+			// request that arrives while one is in service.
+			d.Server(primary).SetAdmissionLimit(1)
 
-	const n = 16
-	served := 0
-	for i := 0; i < n; i++ {
-		c.Get(key, func(r kv.Result) {
-			if r.Err != nil {
-				t.Errorf("get failed: %v (status %v)", r.Err, r.Status)
-				return
+			const n = 16
+			served := 0
+			for i := 0; i < n; i++ {
+				c.Get(key, func(r kv.Result) {
+					if r.Err != nil {
+						t.Errorf("get failed: %v (status %v)", r.Err, r.Status)
+						return
+					}
+					if !bytes.Equal(r.Value, val) {
+						t.Errorf("get value %q", r.Value)
+					}
+					served++
+				})
 			}
-			if !bytes.Equal(r.Value, val) {
-				t.Errorf("get value %q", r.Value)
+			cl.Eng.Run()
+
+			if served != n {
+				t.Fatalf("served %d of %d reads", served, n)
 			}
-			served++
+			if s := c.Suspected(); s != 0 {
+				t.Fatalf("busy failover started %d probations; brownout must not suspect", s)
+			}
+			if !m.versioned && c.ReplicaReads() == 0 {
+				t.Fatal("no read was steered to the replica")
+			}
+			if c.BreakerOpens() == 0 {
+				t.Fatal("breaker never opened under sustained busy pushback")
+			}
+			if f := c.Failed(); f != 0 {
+				t.Fatalf("%d fleet-level failures; the replica should have served", f)
+			}
 		})
-	}
-	cl.Eng.Run()
-
-	if served != n {
-		t.Fatalf("served %d of %d reads", served, n)
-	}
-	if s := c.Suspected(); s != 0 {
-		t.Fatalf("busy failover started %d probations; brownout must not suspect", s)
-	}
-	if c.ReplicaReads() == 0 {
-		t.Fatal("no read was steered to the replica")
-	}
-	if c.BreakerOpens() == 0 {
-		t.Fatal("breaker never opened under sustained busy pushback")
-	}
-	if f := c.Failed(); f != 0 {
-		t.Fatalf("%d fleet-level failures; the replica should have served", f)
 	}
 }
 
-// TestTimeoutStillSuspects pins the blackout path: a crash-class
-// terminal timeout keeps starting probations exactly as before the
-// breaker existed.
+// TestTimeoutStillSuspects pins the blackout path in both replication
+// modes: a crash-class terminal timeout keeps starting probations
+// exactly as before the breaker existed.
 func TestTimeoutStillSuspects(t *testing.T) {
-	cl, d, clients := newFleet(t, 2, 1, 12)
-	c := clients[0]
-	key := kv.FromUint64(5)
-	if err := d.Preload(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	primary := d.Replicas(key)[0]
-	d.Server(primary).Crash()
+	for _, m := range replicationModes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Versioned = m.versioned
+			cl, d, clients := newFleetCfg(t, cfg, 2, 1, 12)
+			c := clients[0]
+			key := kv.FromUint64(5)
+			if err := d.Preload(key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			primary := d.Replicas(key)[0]
+			d.Server(primary).Crash()
 
-	ok := false
-	c.Get(key, func(r kv.Result) { ok = r.Err == nil })
-	cl.Eng.Run()
-	if !ok {
-		t.Fatal("replica did not serve after primary crash")
-	}
-	if c.Suspected() == 0 {
-		t.Fatal("terminal timeout no longer suspects the shard")
-	}
-	if c.BreakerOpens() != 0 {
-		t.Fatal("timeout fed the brownout breaker; blackout and brownout must stay separate")
+			ok := false
+			c.Get(key, func(r kv.Result) { ok = r.Err == nil })
+			cl.Eng.Run()
+			if !ok {
+				t.Fatal("replica did not serve after primary crash")
+			}
+			if c.Suspected() == 0 {
+				t.Fatal("terminal timeout no longer suspects the shard")
+			}
+			if c.BreakerOpens() != 0 {
+				t.Fatal("timeout fed the brownout breaker; blackout and brownout must stay separate")
+			}
+		})
 	}
 }
 
