@@ -5,31 +5,30 @@
 //
 //	herdbench [-cluster apt|susitna] [-warmup us] [-span us]
 //	          [-metrics file] [-trace file] [-perqp]
-//	          [-faults script] [targets...]
+//	          [-faults script] [-json dir] [targets...]
 //
 // Targets are table1, table2, fig2..fig7, fig9..fig14, or "all"
 // (default). Figure 9 always covers both clusters. The "chaos" target
 // runs the packaged crash-restart scenario; -faults replaces its
 // schedule with a chaos script (see docs/ROBUSTNESS.md for the format).
 // "fleet-bench" compares single vs sharded vs replicated-fleet
-// deployments (-benchjson also writes the result as JSON) and
-// "fleet-chaos" runs the fleet through a shard crash; see
-// docs/SCALEOUT.md. "overload" sweeps offered load past saturation with
-// and without the overload controller (-overloadjson writes the sweep
-// as JSON); see docs/ROBUSTNESS.md. "clients-sweep" sweeps the client
-// count from 100 to 10k with and without the endpoint multiplexing
-// tier (-clientsjson writes the sweep as JSON); see
-// docs/SCALABILITY.md. "durability" crashes a durable fleet
-// mid-group-commit and compares warm WAL rejoin against cold
-// re-replication (-durabilityjson writes the comparison as JSON); see
-// docs/DURABILITY.md. "hotkey" runs the skewed workload with and
-// without the client near cache + leases + hot-key widening
-// (-hotkeyjson writes the comparison as JSON); see docs/CACHING.md.
+// deployments and "fleet-chaos" runs the fleet through a shard crash;
+// see docs/SCALEOUT.md. "overload" sweeps offered load past saturation
+// with and without the overload controller; see docs/ROBUSTNESS.md.
+// "clients-sweep" sweeps the client count from 100 to 10k with and
+// without the endpoint multiplexing tier; see docs/SCALABILITY.md.
+// "durability" crashes a durable fleet mid-group-commit and compares
+// warm WAL rejoin against cold re-replication; see docs/DURABILITY.md.
+// "hotkey" runs the skewed workload with and without the client near
+// cache + leases + hot-key widening; see docs/CACHING.md.
 // "consistency" searches nemesis seeds for a schedule under which the
 // first-ack fleet serves a provably stale read, minimizes it, and
-// proves versioned writes + read repair restore linearizability
-// (-consistencyjson writes the comparison as JSON); see
+// proves versioned writes + read repair restore linearizability; see
 // docs/ROBUSTNESS.md.
+//
+// -json dir writes each of those six scenarios' results, when it runs,
+// as dir/BENCH_<name>.json: BENCH_fleet, BENCH_overload, BENCH_clients,
+// BENCH_durability, BENCH_hotkey and BENCH_consistency.
 //
 // -metrics dumps the cluster-wide metric registry (per-verb posted and
 // completion counters, PCIe transaction counts, NIC cache hit rates,
@@ -44,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -64,12 +64,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write request-lifecycle spans as Chrome trace_event JSON to this file")
 	perQP := flag.Bool("perqp", false, "with -metrics: also keep per-queue-pair posted counters")
 	faultsFile := flag.String("faults", "", "chaos script for the chaos target (overrides the packaged scenario)")
-	benchJSON := flag.String("benchjson", "", "with the fleet-bench target: also write the comparison as JSON to this file")
-	overloadJSON := flag.String("overloadjson", "", "with the overload target: also write the sweep as JSON to this file")
-	clientsJSON := flag.String("clientsjson", "", "with the clients-sweep target: also write the sweep as JSON to this file")
-	durabilityJSON := flag.String("durabilityjson", "", "with the durability target: also write the comparison as JSON to this file")
-	hotkeyJSON := flag.String("hotkeyjson", "", "with the hotkey target: also write the comparison as JSON to this file")
-	consistencyJSON := flag.String("consistencyjson", "", "with the consistency target: also write the comparison as JSON to this file")
+	jsonDir := flag.String("json", "", "write DIR/BENCH_<name>.json for each scenario target that runs (fleet-bench, overload, clients-sweep, durability, hotkey, consistency)")
 	flag.Parse()
 
 	experiments.Warmup = sim.Time(*warmupUS) * sim.Microsecond
@@ -127,68 +122,32 @@ func main() {
 
 		// Fleet scale-out: single vs sharded vs replicated fleet, and
 		// the fleet under a crash-restart schedule (docs/SCALEOUT.md).
-		"fleet-bench": func() *experiments.Table {
-			tbl, res := experiments.FleetBench(spec)
-			if *benchJSON != "" {
-				writeFile(*benchJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"fleet-bench": scenario(*jsonDir, "fleet", experiments.FleetBench, spec),
 		"fleet-chaos": func() *experiments.Table { return experiments.FleetChaosScenario(spec) },
 
 		// Overload: goodput and tail latency vs offered load, with and
 		// without admission control + busy pushback + client AIMD
 		// (docs/ROBUSTNESS.md).
-		"overload": func() *experiments.Table {
-			tbl, res := experiments.Overload(spec)
-			if *overloadJSON != "" {
-				writeFile(*overloadJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"overload": scenario(*jsonDir, "overload", experiments.Overload, spec),
 
 		// Connection scalability: the Figure 12 cliff at 100..10k clients
 		// and the endpoint multiplexing tier that removes it
 		// (docs/SCALABILITY.md).
-		"clients-sweep": func() *experiments.Table {
-			tbl, res := experiments.Clients(spec)
-			if *clientsJSON != "" {
-				writeFile(*clientsJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"clients-sweep": scenario(*jsonDir, "clients", experiments.Clients, spec),
 
 		// Durability: the fleet crashed mid-group-commit, warm WAL
 		// rejoin vs cold re-replication (docs/DURABILITY.md).
-		"durability": func() *experiments.Table {
-			tbl, res := experiments.DurabilityScenario(spec)
-			if *durabilityJSON != "" {
-				writeFile(*durabilityJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"durability": scenario(*jsonDir, "durability", experiments.DurabilityScenario, spec),
 
 		// Hot-key survival: the skewed workload with and without the
 		// client near cache + leases + hot-key widening
 		// (docs/CACHING.md).
-		"hotkey": func() *experiments.Table {
-			tbl, res := experiments.Hotkey(spec)
-			if *hotkeyJSON != "" {
-				writeFile(*hotkeyJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"hotkey": scenario(*jsonDir, "hotkey", experiments.Hotkey, spec),
 
 		// Consistency: the nemesis-driven linearizability gate —
 		// first-ack divergence vs versioned read repair under a
 		// generated chaos schedule (docs/ROBUSTNESS.md).
-		"consistency": func() *experiments.Table {
-			tbl, res := experiments.ConsistencyScenario(spec)
-			if *consistencyJSON != "" {
-				writeFile(*consistencyJSON, res.WriteJSON)
-			}
-			return tbl
-		},
+		"consistency": scenario(*jsonDir, "consistency", experiments.ConsistencyScenario, spec),
 
 		// Robustness: HERD under a scripted fault schedule.
 		"chaos": func() *experiments.Table {
@@ -250,6 +209,18 @@ func main() {
 	}
 	if *traceFile != "" {
 		writeFile(*traceFile, sink.Tracer.WriteChromeTrace)
+	}
+}
+
+// scenario wraps a target whose result also has a JSON form: with a
+// non-empty dir it writes dir/BENCH_<name>.json after the run.
+func scenario[R interface{ WriteJSON(io.Writer) error }](dir, name string, run func(cluster.Spec) (*experiments.Table, R), spec cluster.Spec) func() *experiments.Table {
+	return func() *experiments.Table {
+		tbl, res := run(spec)
+		if dir != "" {
+			writeFile(filepath.Join(dir, "BENCH_"+name+".json"), res.WriteJSON)
+		}
+		return tbl
 	}
 }
 
