@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"herdkv/internal/cluster"
+	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -114,10 +115,10 @@ type Client struct {
 	udQPs  []*verbs.QP
 	respMR *verbs.MR
 
-	reqSeq   []int          // next request sequence number per server process
-	inflight int            // outstanding ops against Window
-	waiting  []*pendingOp   // ops queued for a window slot
-	perProc  [][]*pendingOp // FIFO of outstanding ops per server process
+	reqSeq   []int                  // next request sequence number per server process
+	inflight int                    // outstanding ops against Window
+	waiting  fifo.Queue[*pendingOp] // ops queued for a window slot
+	perProc  [][]*pendingOp         // FIFO of outstanding ops per server process
 
 	// slotFree[proc][r mod W] is the earliest virtual time that window
 	// slot may host a new op. Responses echo only r mod W, so after an op
@@ -439,11 +440,9 @@ func (c *Client) aimdShrink() {
 // inflight; the break keeps one deferred op from draining the whole
 // queue into parked limbo in a single call.
 func (c *Client) pumpWaiting() {
-	for len(c.waiting) > 0 && c.inflight < c.window() {
+	for c.waiting.Len() > 0 && c.inflight < c.window() {
 		before := c.inflight
-		op := c.waiting[0]
-		c.waiting = c.waiting[1:]
-		c.issue(op)
+		c.issue(c.waiting.Pop())
 		if c.inflight == before {
 			break
 		}
@@ -452,7 +451,7 @@ func (c *Client) pumpWaiting() {
 
 func (c *Client) submit(op *pendingOp) {
 	if c.inflight >= c.window() {
-		c.waiting = append(c.waiting, op)
+		c.waiting.Push(op)
 		return
 	}
 	c.issue(op)

@@ -1109,12 +1109,9 @@ func (x *execOp) served(at sim.Time) {
 			status = statusNotFound
 		} else if applied && s.wlog != nil {
 			// The slot's value bytes are zeroed and reused after the
-			// response; the log record needs its own copy.
-			logged = wal.Record{
-				Op: wal.OpPut, Key: req.key,
-				Value: append([]byte(nil), req.value...),
-				Epoch: x.epoch,
-			}
+			// response; Append copies them into the log's own staging
+			// buffer before it returns.
+			logged = wal.Record{Op: wal.OpPut, Key: req.key, Value: req.value, Epoch: x.epoch}
 			hasLog = true
 		}
 		x.resp = encodeRespHeader(s.respFor(req.proc, 0), status, 0, req.rMod)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"sort"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/kv"
@@ -79,6 +78,10 @@ type Client struct {
 	verSeq uint64
 	floors map[kv.Key]kv.Version
 
+	eng        *sim.Engine
+	roundFree  []*round        // recycled rounds (see getRound)
+	onRepaired func(kv.Result) // repaired, bound once
+
 	partialWrites uint64
 	staleObserved uint64
 	repairIssued  uint64
@@ -142,10 +145,13 @@ func (d *Deployment) ConnectClient(m *cluster.Machine) (*Client, error) {
 	c := &Client{
 		d:       d,
 		machine: m,
+		eng:     m.Verbs.NIC().Engine(),
 		subs:    make([]kv.KV, len(d.shards)),
 		suspect: make([]sim.Time, len(d.shards)),
 		brk:     make([]breaker, len(d.shards)),
+		floors:  make(map[kv.Key]kv.Version),
 	}
+	c.onRepaired = c.repaired
 	tel := m.Verbs.Telemetry()
 	c.telIssued = tel.Counter("fleet.ops.issued")
 	c.telCompleted = tel.Counter("fleet.ops.completed")
@@ -200,7 +206,8 @@ func (c *Client) attach(sh *shard) error {
 	return nil
 }
 
-func (c *Client) now() sim.Time { return c.machine.Verbs.NIC().Engine().Now() }
+//herd:hotpath
+func (c *Client) now() sim.Time { return c.eng.Now() }
 
 // Inflight returns the number of fleet-level operations in flight.
 func (c *Client) Inflight() int { return c.inflight }
@@ -263,6 +270,8 @@ func (c *Client) BreakerOpen(id int) bool {
 
 // markSuspect starts a read probation for shard id after a terminal
 // failure against it.
+//
+//herd:hotpath
 func (c *Client) markSuspect(id int) {
 	c.suspect[id] = c.now() + c.d.cfg.Probation
 	c.suspected++
@@ -273,6 +282,8 @@ func (c *Client) markSuspect(id int) {
 // shard id: the brownout path. Consecutive busy failures trip the
 // breaker open; a failed half-open probe re-opens it. Probation is
 // never touched — the shard is alive.
+//
+//herd:hotpath
 func (c *Client) noteBusy(id int) {
 	b := &c.brk[id]
 	b.probing = false
@@ -300,6 +311,8 @@ func (c *Client) noteBusy(id int) {
 // noteServed records a successful read or write against shard id: the
 // busy streak resets, and a non-closed breaker (including a half-open
 // probe that just succeeded) fully restores.
+//
+//herd:hotpath
 func (c *Client) noteServed(id int) {
 	b := &c.brk[id]
 	b.fails = 0
@@ -315,6 +328,8 @@ func (c *Client) noteServed(id int) {
 // noteReadIssue runs before a read is issued to shard id: an open
 // breaker whose cooldown lapsed transitions to half-open, and this
 // read becomes its probe.
+//
+//herd:hotpath
 func (c *Client) noteReadIssue(id int) {
 	b := &c.brk[id]
 	if b.state == breakerOpen && b.until <= c.now() && !b.probing {
@@ -328,6 +343,8 @@ func (c *Client) noteReadIssue(id int) {
 // readPreferred reports whether shard id should be in the front tier
 // of a read order: not under probation, and its breaker either closed
 // or due for a half-open probe.
+//
+//herd:hotpath
 func (c *Client) readPreferred(id int, now sim.Time) bool {
 	if c.suspect[id] > now {
 		return false
@@ -341,42 +358,48 @@ func (c *Client) readPreferred(id int, now sim.Time) bool {
 	return true
 }
 
-// readOrder returns key's replica set reordered for a read: healthy
-// replicas first (ring order preserved within each group), then
+// readOrder reorders a read's replica order in place, and returns it:
+// healthy replicas first (ring order preserved within each group), then
 // probationed or breaker-open ones — so a recently failed or
 // browned-out primary is tried last instead of eating a full retry
-// budget (or another busy round trip) per read.
-func (c *Client) readOrder(reps []int) []int {
+// budget (or another busy round trip) per read. The caller owns order;
+// a round passes its own copy of the ring's replica set.
+//
+//herd:hotpath
+func (c *Client) readOrder(order []int) []int {
 	now := c.now()
-	order := make([]int, 0, len(reps))
-	for _, id := range reps {
-		if c.readPreferred(id, now) {
-			order = append(order, id)
+	// A stable insertion sort: the healthy tier keeps ring order, and a
+	// replica set is a handful of shards.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && c.readsBefore(order[j], order[j-1], now); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	// The back tier is NOT ring order: when every replica is suspect,
-	// ring order could try a shard that failed moments ago before one
-	// whose probation is about to lapse. Sort by probation expiry, then
-	// breaker cooldown, with the shard id as a deterministic tie-break
-	// so replays are stable when several replicas were suspected at the
-	// same instant.
-	tail := make([]int, 0, len(reps))
-	for _, id := range reps {
-		if !c.readPreferred(id, now) {
-			tail = append(tail, id)
-		}
+	return order
+}
+
+// readsBefore reports whether shard a belongs ahead of shard b in a
+// read order. Every healthy replica precedes every unhealthy one. The
+// back tier is NOT ring order: when every replica is suspect, ring
+// order could try a shard that failed moments ago before one whose
+// probation is about to lapse. It orders by probation expiry, then
+// breaker cooldown, with the shard id as a deterministic tie-break so
+// replays are stable when several replicas were suspected at the same
+// instant.
+//
+//herd:hotpath
+func (c *Client) readsBefore(a, b int, now sim.Time) bool {
+	pa, pb := c.readPreferred(a, now), c.readPreferred(b, now)
+	if pa || pb {
+		return pa && !pb
 	}
-	sort.Slice(tail, func(i, j int) bool {
-		a, b := tail[i], tail[j]
-		if c.suspect[a] != c.suspect[b] {
-			return c.suspect[a] < c.suspect[b]
-		}
-		if c.brk[a].until != c.brk[b].until {
-			return c.brk[a].until < c.brk[b].until
-		}
-		return a < b
-	})
-	return append(order, tail...)
+	if c.suspect[a] != c.suspect[b] {
+		return c.suspect[a] < c.suspect[b]
+	}
+	if c.brk[a].until != c.brk[b].until {
+		return c.brk[a].until < c.brk[b].until
+	}
+	return a < b
 }
 
 // round is one fleet operation in flight: a GET, PUT or DELETE
@@ -386,14 +409,22 @@ func (c *Client) readOrder(reps []int) []int {
 // quorums derive from Config.Versioned: an unversioned round reads one
 // replica and succeeds on the first write ack (R=1, W=1); a versioned
 // round reads and writes every replica in ring order (R=W=N).
+//
+// Rounds are pooled per Client (getRound). A round owns its order,
+// served and buf storage and keeps their capacity across recycles, and
+// each replica's answer comes back through a sub-op slot whose callback
+// is bound once, so a steady-state round allocates nothing. A round is
+// retired only after finish has called cb, by which point every
+// sub-operation it issued has resolved.
 type round struct {
 	c       *Client
 	key     kv.Key
 	isGet   bool
 	del     bool       // unversioned DELETE (a versioned delete is a tombstone PUT)
 	value   []byte     // the bytes a PUT sends every replica
+	buf     []byte     // versioned writes: the stamped value (value aliases it)
 	stamp   kv.Version // versioned writes: the stamp inside value
-	order   []int      // replicas in issue order
+	order   []int      // replicas in issue order: the round's own copy
 	primary int        // the key's ring primary: reads served elsewhere are replica reads
 	width   int        // replicas issued up front
 	next    int        // order[next] is the next replica to ask
@@ -402,7 +433,21 @@ type round struct {
 	last    kv.Result  // the most recent failed answer
 	begun   sim.Time
 	cb      func(kv.Result)
+	subs    []*subOp // subs[i] carries order[i]'s answer back
 }
+
+// subOp is one replica's slot in a round: the sub-client calls done,
+// bound once to resolve, with that replica's answer.
+type subOp struct {
+	rd   *round
+	id   int
+	done func(kv.Result)
+}
+
+// resolve hands the replica's answer to the owning round.
+//
+//herd:hotpath
+func (s *subOp) resolve(r kv.Result) { s.rd.resolve(s.id, r) }
 
 // reply is one replica's served answer.
 type reply struct {
@@ -412,6 +457,8 @@ type reply struct {
 
 // version splits a versioned read answer. ok is false for a miss;
 // unversioned legacy bytes rank at version zero.
+//
+//herd:hotpath
 func (s *reply) version() (v kv.Version, tomb bool, payload []byte, ok bool) {
 	if s.res.Status != kv.StatusHit {
 		return kv.Version{}, false, nil, false
@@ -422,10 +469,49 @@ func (s *reply) version() (v kv.Version, tomb bool, payload []byte, ok bool) {
 	return kv.Version{}, false, s.res.Value, true
 }
 
+// getRound returns a round from the client's pool (or a fresh one) for
+// key, with its order a copy of the replica set reps.
+//
+//herd:hotpath
+func (c *Client) getRound(key kv.Key, reps []int) *round {
+	var rd *round
+	if n := len(c.roundFree); n > 0 {
+		rd = c.roundFree[n-1]
+		c.roundFree = c.roundFree[:n-1]
+	} else {
+		rd = newRound(c) //lint:allow hotalloc — pool growth: the pool reaches the client's peak in-flight count once
+	}
+	rd.key = key
+	rd.order = append(rd.order[:0], reps...)
+	rd.primary = reps[0]
+	rd.width = len(reps)
+	return rd
+}
+
+func newRound(c *Client) *round { return &round{c: c} }
+
+// release returns a finished round to its client's pool, dropping
+// every reference to the op's caller and answers.
+//
+//herd:hotpath
+func (rd *round) release() {
+	for i := range rd.served {
+		rd.served[i] = reply{}
+	}
+	rd.served = rd.served[:0]
+	rd.isGet, rd.del = false, false
+	rd.value, rd.cb, rd.last = nil, nil, kv.Result{}
+	rd.stamp = kv.Version{}
+	rd.next, rd.pending = 0, 0
+	rd.c.roundFree = append(rd.c.roundFree, rd)
+}
+
 // Get reads key. An unversioned fleet asks one replica — healthy ones
 // first, hot keys widened across the set — and fails over down that
 // order; a versioned fleet asks every replica and answers with the
 // highest-stamped state.
+//
+//herd:hotpath
 func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
@@ -434,11 +520,13 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 	if len(reps) == 0 {
 		return ErrNoShards
 	}
-	rd := &round{key: key, isGet: true, order: reps, primary: reps[0], width: len(reps), cb: cb}
+	rd := c.getRound(key, reps)
+	rd.isGet, rd.cb = true, cb
 	if !c.d.cfg.Versioned {
-		rd.order, rd.width = c.readOrder(reps), 1
+		rd.width = 1
+		c.readOrder(rd.order)
 		if c.hot != nil {
-			rd.order = c.widen(key, rd.order)
+			c.widen(key, rd.order)
 		}
 	}
 	c.run(rd)
@@ -450,16 +538,26 @@ func (c *Client) Get(key kv.Key, cb func(kv.Result)) error {
 // is stamped and succeeds only when every replica does. Either way the
 // op resolves when the last replica does, so its latency is the time
 // to a known outcome.
+//
+//herd:hotpath
 func (c *Client) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	return c.write(key, value, false, cb)
 }
 
 // Delete removes key from every replica in its set; a versioned fleet
 // writes a tombstone.
+//
+//herd:hotpath
 func (c *Client) Delete(key kv.Key, cb func(kv.Result)) error {
 	return c.write(key, nil, true, cb)
 }
 
+// write runs a PUT or DELETE round. Every sub-client copies a PUT's
+// value before its Put returns, and the round issues all its writes
+// inside run, so neither the caller's value nor the round's stamped
+// buffer is read after write returns.
+//
+//herd:hotpath
 func (c *Client) write(key kv.Key, value []byte, del bool, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
@@ -478,49 +576,66 @@ func (c *Client) write(key kv.Key, value []byte, del bool, cb func(kv.Result)) e
 	if len(reps) == 0 {
 		return ErrNoShards
 	}
-	rd := &round{key: key, del: del, value: value, order: reps, width: len(reps), cb: cb}
+	rd := c.getRound(key, reps)
+	rd.del, rd.value, rd.cb = del, value, cb
 	if c.d.cfg.Versioned {
 		// A fresh (epoch, seq) stamp — a tombstone for a delete —
 		// travels inside the stored bytes as an ordinary PUT.
 		c.verSeq++
 		rd.stamp = kv.Version{Epoch: int64(c.now()), Seq: c.verSeq<<16 | c.verID&0xffff}
-		stored := kv.AppendVersion(make([]byte, 0, kv.VersionPrefixLen+len(value)), rd.stamp, del)
-		rd.value, rd.del = append(stored, value...), false
+		rd.buf = append(kv.AppendVersion(rd.buf[:0], rd.stamp, del), value...)
+		rd.value, rd.del = rd.buf, false
 	}
 	c.telFanout.Inc()
 	c.run(rd)
 	return nil
 }
 
-// run counts rd issued and asks its first width replicas.
+// run counts rd issued and asks its first width replicas. The round is
+// held open while they issue: a sub-client that answers synchronously
+// (a refusal) must not finish — and recycle — the round under this
+// loop.
+//
+//herd:hotpath
 func (c *Client) run(rd *round) {
-	rd.c = c
-	rd.served = make([]reply, 0, rd.width)
 	rd.begun = c.now()
 	c.issued++
 	c.inflight++
 	c.telIssued.Inc()
+	rd.pending++
 	for rd.next < rd.width {
 		rd.issue()
 	}
+	rd.pending--
+	if rd.pending == 0 {
+		rd.finish()
+	}
 }
 
-// issue sends the sub-operation to order[next]. Each is a fresh
-// sub-client operation with the full retry budget.
+// issue sends the sub-operation to order[next] through that replica's
+// sub-op slot. Each is a fresh sub-client operation with the full retry
+// budget.
+//
+//herd:hotpath
 func (rd *round) issue() {
-	c, id := rd.c, rd.order[rd.next]
+	c, i := rd.c, rd.next
+	id := rd.order[i]
 	rd.next++
 	rd.pending++
-	cb := func(r kv.Result) { rd.resolve(id, r) }
+	if i == len(rd.subs) {
+		rd.subs = append(rd.subs, newSubOp(rd)) //lint:allow hotalloc — slot growth: a round reaches its replica count once
+	}
+	sub := rd.subs[i]
+	sub.id = id
 	var err error
 	switch {
 	case rd.isGet:
 		c.noteReadIssue(id)
-		err = c.subs[id].Get(rd.key, cb)
+		err = c.subs[id].Get(rd.key, sub.done)
 	case rd.del:
-		err = c.subs[id].Delete(rd.key, cb)
+		err = c.subs[id].Delete(rd.key, sub.done)
 	default:
-		err = c.subs[id].Put(rd.key, rd.value, cb)
+		err = c.subs[id].Put(rd.key, rd.value, sub.done)
 	}
 	if err != nil {
 		// The fleet validates every op before issuing it; a refusal
@@ -530,11 +645,19 @@ func (rd *round) issue() {
 	}
 }
 
+func newSubOp(rd *round) *subOp {
+	s := &subOp{rd: rd}
+	s.done = s.resolve
+	return s
+}
+
 // resolve records replica id's answer. Busy is a brownout: the shard
 // is alive but shedding, so it feeds the circuit breaker and must NOT
 // start a probation — failover churn on overload would amplify the
 // overload. Every other terminal failure is crash-class and suspects
 // the shard. A failed read moves on to the next replica not yet asked.
+//
+//herd:hotpath
 func (rd *round) resolve(id int, r kv.Result) {
 	c := rd.c
 	rd.pending--
@@ -561,7 +684,10 @@ func (rd *round) resolve(id int, r kv.Result) {
 }
 
 // finish delivers the op's result once every issued sub-operation has
-// resolved. It fails only when no replica served.
+// resolved, then retires the round. It fails only when no replica
+// served.
+//
+//herd:hotpath
 func (rd *round) finish() {
 	c := rd.c
 	var res kv.Result
@@ -586,6 +712,7 @@ func (rd *round) finish() {
 	if rd.cb != nil {
 		rd.cb(res)
 	}
+	rd.release()
 }
 
 // ack is a write's outcome once some replica acknowledged. A Hit answer
@@ -595,6 +722,8 @@ func (rd *round) finish() {
 // divergent on this key: unversioned (W=1) it still succeeds; versioned
 // (W=N) it fails with ErrPartialWrite and queues the key for
 // anti-entropy.
+//
+//herd:hotpath
 func (rd *round) ack() kv.Result {
 	c := rd.c
 	res := rd.served[0].res
@@ -610,7 +739,7 @@ func (rd *round) ack() kv.Result {
 		c.partialWrites++
 		c.telPartial.Inc()
 		if c.d.cfg.Versioned {
-			c.d.EnqueueRepair(rd.key)
+			c.d.EnqueueRepair(rd.key) //lint:allow hotalloc — divergence only: a partial write queues anti-entropy
 			res.Err = ErrPartialWrite
 		}
 	case c.d.cfg.Versioned:
@@ -622,9 +751,14 @@ func (rd *round) ack() kv.Result {
 // read is a GET's outcome once some replica served. An unversioned
 // round (R=1) forwards its one answer. A versioned round (R=N) answers
 // with the highest-stamped state (a tombstone or absent winner is a
-// miss) under the winning replica's lease, and back-fills every replica caught behind the winner with its
-// bytes; the member server's ordered apply makes a repair racing a
-// fresher write harmless.
+// miss) under the winning replica's lease, and back-fills every replica
+// caught behind the winner with its bytes; the member server's ordered
+// apply makes a repair racing a fresher write harmless. The answer's
+// Value is the payload inside the winning reply's value, which the
+// sub-client copied for this round and nothing else holds — the repair
+// Puts copy it before returning.
+//
+//herd:hotpath
 func (rd *round) read() kv.Result {
 	c := rd.c
 	if !c.d.cfg.Versioned {
@@ -646,7 +780,7 @@ func (rd *round) read() kv.Result {
 		// Every replica that answered is behind a write this client
 		// completed: the result is provably stale.
 		c.telStaleReads.Inc()
-		c.d.EnqueueRepair(rd.key)
+		c.d.EnqueueRepair(rd.key) //lint:allow hotalloc — stale read only: queues anti-entropy
 	}
 	if win < 0 {
 		return res
@@ -654,7 +788,7 @@ func (rd *round) read() kv.Result {
 	w := &rd.served[win]
 	if _, tomb, payload, _ := w.version(); !tomb {
 		res.Status = kv.StatusHit
-		res.Value = append([]byte(nil), payload...)
+		res.Value = payload
 		res.Lease = w.res.Lease
 	}
 	for i := range rd.served {
@@ -666,15 +800,17 @@ func (rd *round) read() kv.Result {
 		c.telStaleObserved.Inc()
 		c.repairIssued++
 		c.telRepairIssued.Inc()
-		if err := c.subs[s.id].Put(rd.key, w.res.Value, c.repaired); err != nil {
+		if err := c.subs[s.id].Put(rd.key, w.res.Value, c.onRepaired); err != nil {
 			// The anti-entropy sweep retries a refused repair.
-			c.d.EnqueueRepair(rd.key)
+			c.d.EnqueueRepair(rd.key) //lint:allow hotalloc — refused repair only
 		}
 	}
 	return res
 }
 
 // repaired counts a read-repair back-fill the replica acknowledged.
+//
+//herd:hotpath
 func (c *Client) repaired(r kv.Result) {
 	if r.Err == nil {
 		c.repairApplied++
@@ -683,10 +819,9 @@ func (c *Client) repaired(r kv.Result) {
 }
 
 // noteFloor raises this client's completed-write floor for key.
+//
+//herd:hotpath
 func (c *Client) noteFloor(key kv.Key, v kv.Version) {
-	if c.floors == nil {
-		c.floors = make(map[kv.Key]kv.Version)
-	}
 	if f, ok := c.floors[key]; !ok || f.Less(v) {
 		c.floors[key] = v
 	}

@@ -29,12 +29,19 @@ type ringPoint struct {
 //
 // Rings are immutable once built; Deployment swaps whole rings
 // atomically when a membership change commits, so in-flight routing
-// decisions are never half-updated.
+// decisions are never half-updated. Because a ring never changes, every
+// point's replica walk is computed once when the ring is built (sets),
+// and Replicas only binary-searches the key's point and slices it.
 type Ring struct {
 	seed   uint64
 	vnodes int
 	points []ringPoint // sorted by (hash, shard)
 	shards []int       // member shard ids, ascending
+	// sets holds, for point i, every member shard in the order a
+	// clockwise walk from that point first meets it:
+	// sets[i*len(shards) : (i+1)*len(shards)]. Replicas hands out
+	// read-only prefixes of these rows.
+	sets []int
 }
 
 // NewRing returns an empty ring. Virtual-node positions derive from
@@ -66,6 +73,7 @@ func (r *Ring) WithShard(shard int) *Ring {
 		nr.points = append(nr.points, ringPoint{hash: nr.pointHash(shard, v), shard: shard})
 	}
 	nr.sortPoints()
+	nr.buildSets()
 	return nr
 }
 
@@ -82,6 +90,7 @@ func (r *Ring) WithoutShard(shard int) *Ring {
 			nr.points = append(nr.points, p)
 		}
 	}
+	nr.buildSets()
 	return nr
 }
 
@@ -104,10 +113,35 @@ func (r *Ring) sortPoints() {
 	})
 }
 
+// buildSets precomputes every point's replica walk: the distinct
+// shards met walking clockwise from the point, in meeting order.
+func (r *Ring) buildSets() {
+	n := len(r.shards)
+	r.sets = make([]int, len(r.points)*n)
+	for i := range r.points {
+		row := r.sets[i*n : i*n : (i+1)*n]
+		for j := 0; j < len(r.points) && len(row) < n; j++ {
+			p := r.points[(i+j)%len(r.points)]
+			dup := false
+			for _, s := range row {
+				if s == p.shard {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				row = append(row, p.shard)
+			}
+		}
+	}
+}
+
 // Shards returns the member shard ids, ascending.
 func (r *Ring) Shards() []int { return append([]int(nil), r.shards...) }
 
 // Size returns the member count.
+//
+//herd:hotpath
 func (r *Ring) Size() int { return len(r.shards) }
 
 // Has reports whether shard is a ring member.
@@ -122,34 +156,36 @@ func (r *Ring) Has(shard int) bool {
 
 // Replicas returns the key's replica set: the first rf distinct shards
 // walking clockwise from the key's position. Index 0 is the primary.
-// Fewer than rf members yields the full membership.
+// Fewer than rf members yields the full membership. The set is a
+// read-only view of the ring's precomputed walk, shared by every
+// caller: it must not be modified (its capacity ends at its length, so
+// an append copies).
+//
+//herd:hotpath
 func (r *Ring) Replicas(key kv.Key, rf int) []int {
 	if len(r.points) == 0 {
 		return nil
 	}
-	if rf > len(r.shards) {
-		rf = len(r.shards)
+	n := len(r.shards)
+	if rf > n {
+		rf = n
 	}
 	if rf < 1 {
 		rf = 1
 	}
+	// The first point at or past the key's hash, wrapping to point 0.
 	h := key.Hash64(r.seed)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, rf)
-	for i := 0; i < len(r.points) && len(out) < rf; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		dup := false
-		for _, s := range out {
-			if s == p.shard {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, p.shard)
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	start := lo % len(r.points)
+	return r.sets[start*n : start*n+rf : start*n+rf]
 }
 
 // Primary returns the key's first replica.

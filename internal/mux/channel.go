@@ -1,8 +1,9 @@
 package mux
 
 import (
-	"fmt"
+	"errors"
 
+	"herdkv/internal/fifo"
 	"herdkv/internal/kv"
 	"herdkv/internal/mica"
 	"herdkv/internal/sim"
@@ -17,12 +18,16 @@ const (
 	opDelete
 )
 
+// errEmptyValue rejects a PUT without a value at the channel.
+var errEmptyValue = errors.New("mux: PUT requires a non-empty value")
+
 // chanOp is one submission-queue entry: the operation plus the routing
 // state that demuxes its response (in hardware this is the vcid header
 // echoed through the endpoint's in-flight table). Entries are pooled
-// per endpoint: done — the completion closure handed to the pooled
-// client — is built once per entry and rides through the free list, so
-// steady-state submissions allocate nothing.
+// per endpoint: done — the completion callback handed to the pooled
+// client — is bound once per entry and rides through the free list;
+// with the channel backlog a ring (fifo.Queue), steady-state
+// submissions allocate nothing.
 type chanOp struct {
 	ch        *Channel // owning channel while in flight; nil in the pool
 	kind      opKind
@@ -48,9 +53,9 @@ type Channel struct {
 	ep *Endpoint
 	id int
 
-	queue       []*chanOp // accepted, not yet issued to the pool
-	outstanding int       // issued to the pool, not yet resolved
-	inflight    int       // accepted, not yet resolved (queued + outstanding)
+	queue       fifo.Queue[*chanOp] // accepted, not yet issued to the pool
+	outstanding int                 // issued to the pool, not yet resolved
+	inflight    int                 // accepted, not yet resolved (queued + outstanding)
 	stalled     bool
 
 	issuedOps uint64 // accepted submissions
@@ -66,9 +71,11 @@ func (ch *Channel) ID() int { return ch.id }
 func (ch *Channel) Stalled() bool { return ch.stalled }
 
 // Queued returns this channel's backlog depth.
-func (ch *Channel) Queued() int { return len(ch.queue) }
+func (ch *Channel) Queued() int { return ch.queue.Len() }
 
 // Get fetches key; cb receives a hit with the value, or a miss.
+//
+//herd:hotpath
 func (ch *Channel) Get(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
@@ -80,12 +87,14 @@ func (ch *Channel) Get(key kv.Key, cb func(kv.Result)) error {
 // Put stores value under key. Validation mirrors the HERD client so a
 // malformed op is rejected at the channel, before it occupies endpoint
 // queue space.
+//
+//herd:hotpath
 func (ch *Channel) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey
 	}
 	if len(value) == 0 {
-		return fmt.Errorf("mux: PUT requires a non-empty value")
+		return errEmptyValue
 	}
 	if len(value) > mica.MaxValueSize {
 		return mica.ErrValueTooLarge
@@ -99,6 +108,8 @@ func (ch *Channel) Put(key kv.Key, value []byte, cb func(kv.Result)) error {
 }
 
 // Delete removes key; the result reports whether it was present.
+//
+//herd:hotpath
 func (ch *Channel) Delete(key kv.Key, cb func(kv.Result)) error {
 	if key.IsZero() {
 		return mica.ErrZeroKey

@@ -191,19 +191,22 @@ func (ep *Endpoint) Issued() uint64    { return ep.issued }
 func (ep *Endpoint) Completed() uint64 { return ep.completed }
 func (ep *Endpoint) Failed() uint64    { return ep.failed }
 
+//herd:hotpath
 func (ep *Endpoint) now() sim.Time { return ep.eng.Now() }
 
 // getOp returns a submission-queue entry from the free pool (or a fresh
-// one), initialized for a new operation. The entry's completion closure
-// is constructed once, on first allocation, and reused across recycles.
+// one), initialized for a new operation. The entry's completion
+// callback is bound once, on first allocation, and reused across
+// recycles.
+//
+//herd:hotpath
 func (ep *Endpoint) getOp(ch *Channel, kind opKind, key kv.Key, cb func(kv.Result)) *chanOp {
 	var op *chanOp
 	if n := len(ep.opFree); n > 0 {
 		op = ep.opFree[n-1]
 		ep.opFree = ep.opFree[:n-1]
 	} else {
-		op = new(chanOp)
-		op.done = func(r kv.Result) { op.ch.ep.complete(op.ch, op, r) }
+		op = newChanOp() //lint:allow hotalloc — pool growth: the pool reaches the endpoint's peak in-flight count once
 	}
 	op.ch = ch
 	op.kind = kind
@@ -216,8 +219,23 @@ func (ep *Endpoint) getOp(ch *Channel, kind opKind, key kv.Key, cb func(kv.Resul
 	return op
 }
 
+// newChanOp allocates a pool entry with its completion callback bound.
+func newChanOp() *chanOp {
+	op := new(chanOp)
+	op.done = op.complete
+	return op
+}
+
+// complete routes the pooled client's answer back through the owning
+// endpoint.
+//
+//herd:hotpath
+func (op *chanOp) complete(r kv.Result) { op.ch.ep.complete(op.ch, op, r) }
+
 // putOp recycles a resolved entry. Callers must be done with every
 // field: the entry may be handed to a new operation immediately.
+//
+//herd:hotpath
 func (ep *Endpoint) putOp(op *chanOp) {
 	op.ch = nil
 	op.cb = nil
@@ -248,17 +266,18 @@ func (ep *Endpoint) poolWithRoom() PoolClient {
 // ChannelWindow) or the pool is saturated. Re-entrant calls (a pooled
 // client rejecting an op synchronously completes it mid-pump) fold into
 // the running loop.
+//
+//herd:hotpath
 func (ep *Endpoint) pump() {
 	if ep.pumping {
 		return
 	}
 	ep.pumping = true
-	defer func() { ep.pumping = false }()
 	n := len(ep.channels)
 	idle := 0
 	for idle < n {
 		ch := ep.channels[ep.rr%n]
-		if len(ch.queue) == 0 || ch.outstanding >= ep.cfg.ChannelWindow {
+		if ch.queue.Len() == 0 || ch.outstanding >= ep.cfg.ChannelWindow {
 			ep.rr++
 			idle++
 			continue
@@ -268,24 +287,26 @@ func (ep *Endpoint) pump() {
 			// Pool saturated. The cursor stays on this channel so it is
 			// first in line when a completion re-pumps — advancing past
 			// it here would cost it its turn.
-			return
+			break
 		}
 		ep.rr++
 		ep.issue(ch, cli)
 		idle = 0
 	}
+	ep.pumping = false
 }
 
 // issue pops the head of ch's queue and hands it to cli. The op's vcid
 // header moves from the submission queue to the in-flight table — here,
-// the completion closure carrying (ch, op) — which demuxes the response
+// the entry's bound completion callback — which demuxes the response
 // back to the owning channel.
+//
+//herd:hotpath
 func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
-	op := ch.queue[0]
-	ch.queue = ch.queue[1:]
+	op := ch.queue.Pop()
 	ep.queued--
 	ep.telQueued.Add(-1)
-	if ch.stalled && len(ch.queue) == 0 {
+	if ch.stalled && ch.queue.Len() == 0 {
 		ch.stalled = false
 		ep.telResumes.Inc()
 		ep.telStalled.Add(-1)
@@ -319,6 +340,8 @@ func (ep *Endpoint) issue(ch *Channel, cli PoolClient) {
 // to the channel's submission time (queueing included), and the
 // scheduler runs before the callback so closed-loop channels keep the
 // pipe full.
+//
+//herd:hotpath
 func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 	ch.outstanding--
 	ch.inflight--
@@ -342,11 +365,13 @@ func (ep *Endpoint) complete(ch *Channel, op *chanOp, r kv.Result) {
 
 // submit accepts one channel op into the endpoint: enqueue, try to
 // issue, and record a stall if the op could not go out immediately.
+//
+//herd:hotpath
 func (ep *Endpoint) submit(ch *Channel, op *chanOp) {
 	op.submitted = ep.now()
 	ch.inflight++
 	ch.issuedOps++
-	ch.queue = append(ch.queue, op)
+	ch.queue.Push(op)
 	ep.queued++
 	ep.telQueued.Add(1)
 	ep.pump()

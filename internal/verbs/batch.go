@@ -46,7 +46,7 @@ func (qp *QP) PostSendBatch(wrs []SendWR) error {
 		b.ops = append(b.ops, op)
 	}
 	for _, op := range b.ops {
-		qp.opQueue.push(op)
+		qp.opQueue.Push(op)
 	}
 	for _, op := range b.ops {
 		qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)

@@ -110,7 +110,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if err != nil {
 		return fmt.Errorf("verbs: %v on %v: %w", wr.Verb, qp.transport, err) //lint:allow hotalloc — rejected post, not the steady state
 	}
-	qp.opQueue.push(op)
+	qp.opQueue.Push(op)
 	qp.countPost(op.wr.Verb, len(op.payload), op.inline, op.wr.Signaled)
 
 	n := qp.host.nic
@@ -159,15 +159,15 @@ func (qp *QP) pump() {
 	if qp.errored {
 		return // SetError already flushed the queue
 	}
-	for qp.opQueue.len() > 0 {
-		op := qp.opQueue.front()
+	for qp.opQueue.Len() > 0 {
+		op := qp.opQueue.Front()
 		if !op.ready {
 			return
 		}
 		if op.wr.Verb == READ && qp.outstandingReads >= qp.host.nic.Params().ReadWindow {
 			return
 		}
-		qp.opQueue.pop()
+		qp.opQueue.Pop()
 		if op.wr.Verb == READ {
 			qp.outstandingReads++
 		}
@@ -300,7 +300,7 @@ func damage(payload []byte, corrupt bool) {
 //herd:hotpath
 func (qp *QP) localSendComplete(op *sendOp) {
 	if reliable(qp.transport) {
-		qp.awaitingAck.push(pendingAck{
+		qp.awaitingAck.Push(pendingAck{
 			wrid: op.wr.WRID, verb: op.wr.Verb, signaled: op.wr.Signaled,
 			bytes: len(op.payload), trace: op.wr.Trace,
 		})
@@ -619,10 +619,10 @@ func (a *ackOp) rxPUDone(sim.Time) {
 	qp, h := a.to, a.from.host
 	a.from, a.to = nil, nil
 	h.ackFree = append(h.ackFree, a)
-	if qp.errored || qp.awaitingAck.len() == 0 {
+	if qp.errored || qp.awaitingAck.Len() == 0 {
 		return
 	}
-	pa := qp.awaitingAck.pop()
+	pa := qp.awaitingAck.Pop()
 	if pa.signaled {
 		qp.signalCompletion(pa.wrid, pa.verb, pa.bytes, pa.trace)
 	}

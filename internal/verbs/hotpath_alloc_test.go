@@ -63,15 +63,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		_ = uda.PostSendBatch(batch)
 		tb.eng.Run()
 	}
-	var q fifo[int]
-	for i := 0; i < 64; i++ {
-		q.push(i)
-	}
-	for q.len() > 0 {
-		q.pop()
-	}
-	pushPop := func() { q.push(1); _ = q.front(); _ = q.len(); q.pop() }
-
 	hotgate.Check(t, ".", map[string]func(){
 		"Supports":               func() { _ = Supports(wire.UC, READ) },
 		"reliable":               func() { _ = reliable(wire.DC) },
@@ -84,10 +75,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		"QP.dropInbound":         func() { udb.dropInbound() },
 		"QP.PostRecv":            func() { _ = udb.PostRecv(recvMR, 0, 64, 9); udb.popRecv() },
 		"QP.popRecv":             func() { _ = udb.PostRecv(recvMR, 0, 64, 9); udb.popRecv() },
-		"fifo.push":              pushPop,
-		"fifo.pop":               pushPop,
-		"fifo.front":             pushPop,
-		"fifo.len":               pushPop,
 		"Host.getOp":             ucWrite,
 		"QP.PostSend":            ucWrite,
 		"QP.prepareOp":           ucWrite,

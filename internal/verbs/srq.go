@@ -1,5 +1,7 @@
 package verbs
 
+import "herdkv/internal/fifo"
+
 // SRQ is a shared receive queue: many QPs draw their RECVs from one
 // pool, so a server with hundreds of SEND-based connections provisions
 // one buffer pool instead of per-QP pools. (Our SEND/SEND HERD mode
@@ -7,7 +9,7 @@ package verbs
 // substrate for RC/UC SEND servers.)
 type SRQ struct {
 	host  *Host
-	queue fifo[recvBuf]
+	queue fifo.Queue[recvBuf]
 }
 
 // CreateSRQ returns an empty shared receive queue on h.
@@ -18,12 +20,12 @@ func (s *SRQ) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	if off < 0 || n < 0 || off+n > len(mr.buf) {
 		return ErrBounds
 	}
-	s.queue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	s.queue.Push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
 // Len reports posted RECVs.
-func (s *SRQ) Len() int { return s.queue.len() }
+func (s *SRQ) Len() int { return s.queue.Len() }
 
 // AttachSRQ makes qp consume RECVs from s instead of its own receive
 // queue. Completions still arrive on the QP's recv CQ. A QP must be
@@ -39,8 +41,8 @@ func (qp *QP) popRecv() (recvBuf, bool) {
 	if qp.srq != nil {
 		q = &qp.srq.queue
 	}
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		return recvBuf{}, false
 	}
-	return q.pop(), true
+	return q.Pop(), true
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"herdkv/internal/fifo"
 	"herdkv/internal/nic"
 	"herdkv/internal/sim"
 	"herdkv/internal/telemetry"
@@ -306,12 +307,12 @@ type QP struct {
 
 	remote *QP // connected transports only
 
-	recvQueue fifo[recvBuf]
+	recvQueue fifo.Queue[recvBuf]
 
 	// opQueue holds posted work requests in strict FIFO order until
 	// their PIO/payload-fetch phase completes and the READ window allows
 	// them to issue.
-	opQueue fifo[*sendOp]
+	opQueue fifo.Queue[*sendOp]
 
 	// outstandingReads counts in-flight READs against ReadWindow.
 	outstandingReads int
@@ -330,7 +331,7 @@ type QP struct {
 	rxGate sim.Time
 
 	// RC ordering: ACKed completions pop in post order.
-	awaitingAck fifo[pendingAck]
+	awaitingAck fifo.Queue[pendingAck]
 
 	droppedSends uint64 // inbound SENDs discarded for lack of a RECV
 
@@ -438,30 +439,30 @@ func (qp *QP) SetError() {
 	qp.errored = true
 	// Flushed ops stay out of the host's pool: their PIO or fetch
 	// events are still pending and will touch them (see sendOp).
-	for i := 0; i < qp.opQueue.len(); i++ {
-		op := qp.opQueue.at(i)
+	for i := 0; i < qp.opQueue.Len(); i++ {
+		op := qp.opQueue.At(i)
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: op.wr.WRID, Verb: op.wr.Verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.opQueue.clear()
-	for i := 0; i < qp.awaitingAck.len(); i++ {
-		pa := qp.awaitingAck.at(i)
+	qp.opQueue.Clear()
+	for i := 0; i < qp.awaitingAck.Len(); i++ {
+		pa := qp.awaitingAck.At(i)
 		qp.sendCQ.push(Completion{
 			QPN: qp.qpn, WRID: pa.wrid, Verb: pa.verb,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.awaitingAck.clear()
-	for i := 0; i < qp.recvQueue.len(); i++ {
-		rb := qp.recvQueue.at(i)
+	qp.awaitingAck.Clear()
+	for i := 0; i < qp.recvQueue.Len(); i++ {
+		rb := qp.recvQueue.At(i)
 		qp.recvCQ.push(Completion{
 			QPN: qp.qpn, WRID: rb.wrid, Verb: RECV,
 			At: qp.host.eng.Now(), Flushed: true,
 		})
 	}
-	qp.recvQueue.clear()
+	qp.recvQueue.Clear()
 	qp.outstandingReads = 0
 }
 
@@ -519,12 +520,12 @@ func (qp *QP) PostRecv(mr *MR, off, n int, wrid uint64) error {
 	}
 	qp.host.telPosted[RECV].Inc()
 	qp.qpPosted[RECV].Inc()
-	qp.recvQueue.push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
+	qp.recvQueue.Push(recvBuf{mr: mr, off: off, len: n, wrid: wrid})
 	return nil
 }
 
 // RecvQueueLen reports how many RECVs are currently posted.
-func (qp *QP) RecvQueueLen() int { return qp.recvQueue.len() }
+func (qp *QP) RecvQueueLen() int { return qp.recvQueue.Len() }
 
 // SendWR describes a work request for PostSend.
 type SendWR struct {

@@ -171,19 +171,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingRec is one buffered append awaiting group commit.
+// pendingRec is one buffered append awaiting group commit. rec.Value
+// points into the log's staging buffer, not at the caller's bytes.
 type pendingRec struct {
 	rec       Record
 	onDurable func()
 }
 
-// flight is one device write in progress.
+// flight is one device write in progress. Flights are pooled per log
+// with their completion bound once, and keep their buffers' capacity
+// across batches. A flight returns to the pool when its device write
+// completes, also when a crash made that completion stale — so a
+// flight is never reused while its completion is still scheduled.
 type flight struct {
+	l      *Log
+	gen    int // the log's crash generation when the write started
 	buf    []byte
 	cbs    []func()
 	start  sim.Time
 	dur    sim.Time
 	lastAt sim.Time // append instant of the batch's final record
+	done   func(sim.Time)
+}
+
+// flushTimer is one armed group-commit interval timer. Timers are
+// pooled per log with their callback bound once and return to the pool
+// when they fire; gen is the crash generation they were armed under.
+type flushTimer struct {
+	l    *Log
+	gen  int
+	fire func()
 }
 
 // RecoverStats summarizes one completed replay.
@@ -212,6 +229,7 @@ type Log struct {
 	dev *sim.Server
 
 	pending    []pendingRec
+	stage      []byte // pending records' values, copied at Append; reused across batches
 	durable    []byte
 	snapshot   []byte
 	snapBase   int // len(durable) right after the last compaction
@@ -227,6 +245,9 @@ type Log struct {
 	// device callbacks captured under an older generation are dead.
 	gen     int
 	crashed bool
+
+	flightFree []*flight
+	timerFree  []*flushTimer
 
 	appends, flushes, replayed uint64
 	flushedBytes, tornBytes    uint64
@@ -257,6 +278,8 @@ func (l *Log) SetSnapshotSource(fn func(emit func(key kv.Key, value []byte))) {
 }
 
 // xfer returns the device time for n sequential bytes.
+//
+//herd:hotpath
 func (l *Log) xfer(n int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -267,10 +290,12 @@ func (l *Log) xfer(n int) sim.Time {
 // Append buffers one record for the next group commit. onDurable, if
 // non-nil, runs when the record's batch has persisted — the log-
 // before-ack hook for sync durability. Appends on a crashed log are
-// dropped (the process is dead; nothing should be calling). The
-// steady-state path (batch not yet full, timer already armed) is
-// allocation-free: the pending buffer keeps its capacity across
-// flushes.
+// dropped (the process is dead; nothing should be calling). The log
+// borrows r.Value only for the call: it copies the bytes into its own
+// staging buffer, so the caller may reuse them as soon as Append
+// returns. The steady-state path (batch not yet full, timer already
+// armed) is allocation-free: the pending and staging buffers keep
+// their capacity across flushes.
 //
 //herd:hotpath
 func (l *Log) Append(r Record, onDurable func()) {
@@ -281,11 +306,16 @@ func (l *Log) Append(r Record, onDurable func()) {
 	if r.Epoch > l.maxEpoch {
 		l.maxEpoch = r.Epoch
 	}
+	if len(r.Value) > 0 {
+		start := len(l.stage)
+		l.stage = append(l.stage, r.Value...)
+		r.Value = l.stage[start:len(l.stage):len(l.stage)]
+	}
 	l.appends++
 	l.telAppends.Inc()
 	l.pending = append(l.pending, pendingRec{rec: r, onDurable: onDurable})
 	if len(l.pending) >= l.cfg.FlushBatch {
-		l.kick() //lint:allow hotalloc — group-commit flush, amortized once per batch
+		l.kick()
 		return
 	}
 	l.armTimer()
@@ -321,8 +351,7 @@ func (l *Log) Flush() {
 }
 
 // armTimer schedules the group-commit interval flush once per batch;
-// with the timer already armed it is a no-op, so only one append per
-// batch pays for the timer closure.
+// with the timer already armed it is a no-op.
 //
 //herd:hotpath
 func (l *Log) armTimer() {
@@ -330,19 +359,41 @@ func (l *Log) armTimer() {
 		return
 	}
 	l.timerArmed = true
-	gen := l.gen
-	//lint:allow hotalloc — timer closure armed once per group-commit batch
-	l.clk.After(l.cfg.FlushInterval, func() {
-		if gen != l.gen {
-			return
-		}
-		l.timerArmed = false
-		l.kick()
-	})
+	var t *flushTimer
+	if n := len(l.timerFree); n > 0 {
+		t = l.timerFree[n-1]
+		l.timerFree = l.timerFree[:n-1]
+	} else {
+		t = newFlushTimer(l) //lint:allow hotalloc — pool growth: one timer per log, two across a crash
+	}
+	t.gen = l.gen
+	l.clk.After(l.cfg.FlushInterval, t.fire)
+}
+
+func newFlushTimer(l *Log) *flushTimer {
+	t := &flushTimer{l: l}
+	t.fire = t.expire
+	return t
+}
+
+// expire runs the interval flush, unless a crash since arming made the
+// timer stale.
+//
+//herd:hotpath
+func (t *flushTimer) expire() {
+	l := t.l
+	l.timerFree = append(l.timerFree, t)
+	if t.gen != l.gen {
+		return
+	}
+	l.timerArmed = false
+	l.kick()
 }
 
 // kick starts a flush if the device is free; otherwise marks one due
 // for when the in-progress write completes.
+//
+//herd:hotpath
 func (l *Log) kick() {
 	if len(l.pending) == 0 {
 		return
@@ -359,35 +410,63 @@ func (l *Log) kick() {
 // persist latency. The batch becomes durable — and sync-mode acks
 // fire — only at completion; a crash first persists a byte prefix
 // proportional to elapsed time, leaving a torn tail.
+//
+//herd:hotpath
 func (l *Log) startFlush() {
-	var buf []byte
-	var cbs []func()
-	var lastAt sim.Time
-	for _, p := range l.pending {
-		buf = appendRecord(buf, p.rec)
-		if p.onDurable != nil {
-			cbs = append(cbs, p.onDurable)
-		}
-		lastAt = p.rec.At
+	var fl *flight
+	if n := len(l.flightFree); n > 0 {
+		fl = l.flightFree[n-1]
+		l.flightFree = l.flightFree[:n-1]
+	} else {
+		fl = newFlight(l) //lint:allow hotalloc — pool growth: a log needs two flights, the committing one and the next
 	}
-	// Keep the buffer's capacity: every record was encoded into buf and
-	// the callbacks captured, so the entries are dead and the next batch
-	// of appends reuses the space allocation-free.
-	l.pending = l.pending[:0]
-	dur := l.xfer(len(buf)) + l.cfg.PersistLatency
-	fl := &flight{buf: buf, cbs: cbs, start: l.clk.Now(), dur: dur, lastAt: lastAt}
-	l.inflight = fl
-	gen := l.gen
-	l.dev.Submit(dur, func(sim.Time) {
-		if gen != l.gen {
-			return
+	fl.buf, fl.cbs = fl.buf[:0], fl.cbs[:0]
+	for i := range l.pending {
+		p := &l.pending[i]
+		fl.buf = appendRecord(fl.buf, p.rec)
+		if p.onDurable != nil {
+			fl.cbs = append(fl.cbs, p.onDurable)
 		}
+		fl.lastAt = p.rec.At
+		*p = pendingRec{}
+	}
+	// Every record is encoded into the flight and its callback
+	// captured, so the pending and staging buffers are dead: the next
+	// batch of appends reuses their capacity.
+	l.pending = l.pending[:0]
+	l.stage = l.stage[:0]
+	fl.gen = l.gen
+	fl.start = l.clk.Now()
+	fl.dur = l.xfer(len(fl.buf)) + l.cfg.PersistLatency
+	l.inflight = fl
+	l.dev.Submit(fl.dur, fl.done)
+}
+
+func newFlight(l *Log) *flight {
+	fl := &flight{l: l}
+	fl.done = fl.complete
+	return fl
+}
+
+// complete lands the flight's device write — unless a crash since it
+// started made it stale — and returns the flight to the pool.
+//
+//herd:hotpath
+func (fl *flight) complete(sim.Time) {
+	l := fl.l
+	if fl.gen == l.gen {
 		l.commitFlush(fl)
-	})
+	}
+	for i := range fl.cbs {
+		fl.cbs[i] = nil
+	}
+	l.flightFree = append(l.flightFree, fl)
 }
 
 // commitFlush lands one completed device write: the batch is durable,
 // its ack callbacks fire, and a snapshot or follow-on flush may start.
+//
+//herd:hotpath
 func (l *Log) commitFlush(fl *flight) {
 	l.inflight = nil
 	l.durable = append(l.durable, fl.buf...)
@@ -398,7 +477,7 @@ func (l *Log) commitFlush(fl *flight) {
 	for _, cb := range fl.cbs {
 		cb()
 	}
-	l.maybeSnapshot()
+	l.maybeSnapshot() //lint:allow hotalloc — compaction, once per SnapshotEvery bytes of log
 	if l.flushDue || len(l.pending) >= l.cfg.FlushBatch {
 		l.flushDue = false
 		l.kick()
@@ -506,7 +585,10 @@ func (l *Log) crashAt(cut int) {
 	l.timerArmed = false
 	l.flushDue = false
 	l.snapInProg = false
-	l.pending = nil
+	for i := range l.pending {
+		l.pending[i] = pendingRec{}
+	}
+	l.pending, l.stage = l.pending[:0], l.stage[:0]
 	if fl := l.inflight; fl != nil {
 		n := cut
 		if n < 0 {
@@ -603,7 +685,13 @@ func (l *Log) RecordsSince(t sim.Time) []Record {
 	}
 	for _, p := range l.pending {
 		if p.rec.At >= t {
-			out = append(out, p.rec)
+			// A pending value lives in the staging buffer, which the
+			// next batch overwrites: hand out a copy.
+			r := p.rec
+			if r.Value != nil {
+				r.Value = append([]byte(nil), r.Value...)
+			}
+			out = append(out, r)
 		}
 	}
 	return out
