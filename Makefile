@@ -39,15 +39,13 @@ race:
 bench:
 	$(GO) run ./cmd/herdbench -warmup 50 -span 150 -json . fleet-bench overload clients-sweep durability hotkey consistency
 
-# Bench ratchet: regenerate the ratcheted benchmarks and diff their
-# throughput leaves against the committed baselines in baselines/;
-# any >5% drop fails (see cmd/benchcheck). The simulator is
-# deterministic, so a failure is a real slowdown, not noise.
-bench-check:
-	$(GO) run ./cmd/herdbench -warmup 50 -span 150 -json . fleet-bench hotkey consistency
-	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines/BENCH_fleet.json BENCH_fleet.json
-	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines/BENCH_hotkey.json BENCH_hotkey.json
-	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines/BENCH_consistency.json BENCH_consistency.json
+# Bench ratchet: regenerate the benchmarks and diff the throughput
+# leaves of every baselines/BENCH_*.json against the fresh same-named
+# file; any >5% drop fails (see cmd/benchcheck). Committing a baseline
+# file ratchets its scenario. The simulator is deterministic, so a
+# failure is a real slowdown, not noise.
+bench-check: bench
+	$(GO) run ./cmd/benchcheck -max-regress 0.05 baselines .
 
 microbench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

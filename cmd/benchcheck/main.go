@@ -1,10 +1,14 @@
-// Command benchcheck is the benchmark ratchet: it compares a freshly
-// generated benchmark JSON against a committed baseline and fails when
-// any throughput leaf regressed past the allowed fraction.
+// Command benchcheck is the benchmark ratchet: it compares freshly
+// generated benchmark JSON against the committed baselines and fails
+// when any throughput leaf regressed past the allowed fraction.
 //
 // Usage:
 //
-//	benchcheck [-max-regress 0.05] baseline.json fresh.json
+//	benchcheck [-max-regress 0.05] BASELINE_DIR FRESH_DIR
+//
+// Every BASELINE_DIR/BENCH_*.json is checked against the same-named
+// file in FRESH_DIR, so committing a baseline file is the whole step to
+// ratchet a scenario. A baseline without a fresh file fails.
 //
 // Throughput leaves are numeric JSON fields whose key contains "mops"
 // (the convention every BENCH_*.json in this repo follows). Fields
@@ -20,9 +24,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -32,55 +40,76 @@ func main() {
 		"maximum allowed fractional drop per throughput leaf")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [-max-regress f] baseline.json fresh.json")
+		fmt.Fprintln(os.Stderr, "usage: benchcheck [-max-regress f] BASELINE_DIR FRESH_DIR")
 		os.Exit(2)
 	}
-	base, err := loadLeaves(flag.Arg(0))
+	ok, err := check(os.Stdout, flag.Arg(0), flag.Arg(1), *maxRegress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fresh, err := loadLeaves(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	failed := false
-	for _, k := range keys {
-		was := base[k]
-		now, ok := fresh[k]
-		if !ok {
-			fmt.Printf("FAIL %s: in baseline (%.3f) but missing from %s\n", k, was, flag.Arg(1))
-			failed = true
-			continue
-		}
-		switch {
-		case was <= 0:
-			fmt.Printf("  ok %s: baseline %.3f not positive, skipped\n", k, was)
-		case now < was*(1-*maxRegress):
-			fmt.Printf("FAIL %s: %.3f -> %.3f (%.1f%% drop, limit %.0f%%)\n",
-				k, was, now, (1-now/was)*100, *maxRegress*100)
-			failed = true
-		default:
-			fmt.Printf("  ok %s: %.3f -> %.3f (%+.1f%%)\n", k, was, now, (now/was-1)*100)
-		}
-	}
-	for k, v := range fresh {
-		if _, ok := base[k]; !ok {
-			fmt.Printf(" new %s: %.3f (no baseline yet)\n", k, v)
-		}
-	}
-	if failed {
+	if !ok {
 		fmt.Printf("benchcheck: %s regressed vs %s\n", flag.Arg(1), flag.Arg(0))
 		os.Exit(1)
 	}
+}
+
+// check compares every baseDir/BENCH_*.json against the same-named file
+// in freshDir, reporting each leaf to w. It returns false when a leaf
+// dropped more than maxRegress or is missing from the fresh file (or
+// the fresh file is missing); an unreadable file or one without
+// throughput leaves is an error.
+func check(w io.Writer, baseDir, freshDir string, maxRegress float64) (bool, error) {
+	paths, _ := filepath.Glob(filepath.Join(baseDir, "BENCH_*.json")) // the pattern is well-formed
+	if len(paths) == 0 {
+		return false, fmt.Errorf("%s: no BENCH_*.json baselines", baseDir)
+	}
+	ok := true
+	for _, path := range paths {
+		base, err := loadLeaves(path)
+		if err != nil {
+			return false, err
+		}
+		// A missing fresh file fails as every baseline leaf missing.
+		freshPath := filepath.Join(freshDir, filepath.Base(path))
+		fresh, err := loadLeaves(freshPath)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return false, err
+		}
+		fmt.Fprintf(w, "%s:\n", freshPath)
+		for _, k := range sortedKeys(base) {
+			was := base[k]
+			now, found := fresh[k]
+			switch {
+			case !found:
+				fmt.Fprintf(w, "FAIL %s: in baseline (%.3f) but missing from %s\n", k, was, freshPath)
+				ok = false
+			case was <= 0:
+				fmt.Fprintf(w, "  ok %s: baseline %.3f not positive, skipped\n", k, was)
+			case now < was*(1-maxRegress):
+				fmt.Fprintf(w, "FAIL %s: %.3f -> %.3f (%.1f%% drop, limit %.0f%%)\n",
+					k, was, now, (1-now/was)*100, maxRegress*100)
+				ok = false
+			default:
+				fmt.Fprintf(w, "  ok %s: %.3f -> %.3f (%+.1f%%)\n", k, was, now, (now/was-1)*100)
+			}
+		}
+		for _, k := range sortedKeys(fresh) {
+			if _, found := base[k]; !found {
+				fmt.Fprintf(w, " new %s: %.3f (no baseline yet)\n", k, fresh[k])
+			}
+		}
+	}
+	return ok, nil
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // loadLeaves extracts every numeric leaf whose key contains "mops"

@@ -10,7 +10,7 @@ func TestAblationArchitectureCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("client-scaling sweep is slow")
 	}
-	defer short(t)()
+	shortWindows(t)
 	tbl := AblationArchitecture(cluster.Apt())
 	// At moderate scale the hybrid wins by roughly the paper's 4-5 Mops.
 	r50 := row(t, tbl, "50")
@@ -47,7 +47,7 @@ func TestAblationArchitectureCrossover(t *testing.T) {
 }
 
 func TestAblationInline(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := AblationInlineCutoff(cluster.Apt())
 	// Never inlining cripples small-value throughput.
 	none := fval(t, row(t, tbl, "1")[1])
@@ -58,7 +58,7 @@ func TestAblationInline(t *testing.T) {
 }
 
 func TestAblationWindow(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := AblationWindow(cluster.Apt())
 	// Throughput saturates by window 4; latency keeps growing.
 	w1 := fval(t, row(t, tbl, "1")[1])
@@ -78,7 +78,7 @@ func TestAblationWindow(t *testing.T) {
 }
 
 func TestAblationPrefetch(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := AblationPrefetch(cluster.Apt())
 	for _, cores := range []string{"2", "4"} {
 		r := row(t, tbl, cores)

@@ -10,21 +10,20 @@ import (
 
 // testChaosSchedule is a compressed version of the packaged scenario:
 // background loss with a crash-restart window in the middle.
-func testChaosSchedule(t *testing.T) *fault.Schedule {
-	t.Helper()
+func testChaosSchedule() *fault.Schedule {
 	sched, err := fault.ParseSchedule(`
 		loss  from=0 until=8ms rate=0.05
 		crash node=0 at=2ms restart=4ms
 	`)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return sched
 }
 
 func TestChaosRunIsDeterministicAndDrains(t *testing.T) {
 	run := func() string {
-		return Chaos(cluster.Apt(), testChaosSchedule(t), 3).String()
+		return Chaos(cluster.Apt(), testChaosSchedule(), 3).String()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -42,8 +41,8 @@ func TestChaosRunIsDeterministicAndDrains(t *testing.T) {
 }
 
 func TestChaosSeedChangesRun(t *testing.T) {
-	a := Chaos(cluster.Apt(), testChaosSchedule(t), 3).String()
-	b := Chaos(cluster.Apt(), testChaosSchedule(t), 4).String()
+	a := Chaos(cluster.Apt(), testChaosSchedule(), 3).String()
+	b := Chaos(cluster.Apt(), testChaosSchedule(), 4).String()
 	if a == b {
 		t.Fatal("different seeds produced identical chaos tables")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestClassicalShape(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Classical(cluster.Apt())
 	lat := row(t, tbl, "idle GET latency (us)")
 	rdmaLat, kernelLat := fval(t, lat[1]), fval(t, lat[2])

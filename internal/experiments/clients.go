@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -213,11 +211,4 @@ func Clients(spec cluster.Spec) (*Table, ClientsResult) {
 	t.AddNote("direct: one connected UC QP per client (Figure 12); mux: %d endpoints x %d QPs, channels multiplexed (internal/mux); recv ctx cache %d entries",
 		clientsHosts, clientsMuxQPs, spec.NIC.RecvCtxCap)
 	return t, res
-}
-
-// WriteJSON writes the sweep result as indented JSON.
-func (r ClientsResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

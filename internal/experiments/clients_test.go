@@ -1,21 +1,17 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"herdkv/internal/cluster"
 )
 
-// TestClientsSweepGate is the acceptance gate for the endpoint tier:
+// clientsSweepGate is the acceptance gate for the endpoint tier:
 // the direct-connection arm must reproduce Figure 12's cliff (>= 30%
 // goodput decline from its peak by the deepest sweep point), and the
 // muxed arm must hold >= 95% of its peak at every client count.
-func TestClientsSweepGate(t *testing.T) {
-	shrinkWindows(t)
-
-	tbl, res := Clients(cluster.Apt())
+func clientsSweepGate(t *testing.T, tbl *Table, res ClientsResult) {
 	if tbl.String() == "" {
 		t.Fatal("empty clients table")
 	}
@@ -76,27 +72,13 @@ func TestClientsSweepGate(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"clients"`, `"server_qps"`, `"goodput_mops"`,
 		`"recv_ctx_hit_rate"`, `"recv_ctx_evicts"`, `"no_mux"`, `"mux"`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestClientsSweepDeterminism replays one past-capacity point in both
-// arms: identical spec and load must reproduce byte-identical
-// measurements.
-func TestClientsSweepDeterminism(t *testing.T) {
-	shrinkWindows(t)
-	for _, muxed := range []bool{false, true} {
-		a := clientsPoint(cluster.Apt(), 1000, muxed)
-		b := clientsPoint(cluster.Apt(), 1000, muxed)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("muxed=%v replay diverged:\n%+v\n%+v", muxed, a, b)
 		}
 	}
 }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -94,13 +92,6 @@ type ConsistencyResult struct {
 	MinimizedEvents int
 	Off             ConsistencyArm
 	On              ConsistencyArm
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r ConsistencyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Consistency experiment sizing. Keys × ops stay well under the

@@ -1,20 +1,13 @@
 package experiments
 
-import (
-	"strings"
-	"sync"
-	"testing"
+import "testing"
 
-	"herdkv/internal/cluster"
-)
-
-// TestConsistencyGate is the CI consistency gate: the nemesis search
+// consistencyGate is the CI consistency gate: the nemesis search
 // must find a schedule under which the first-ack arm serves a provably
 // stale read, the minimizer must shrink it, and the versioned+repair
 // arm must certify linearizable under the same schedule with every
 // replica set converged after the anti-entropy sweep.
-func TestConsistencyGate(t *testing.T) {
-	tab, res := ConsistencyScenario(cluster.Apt())
+func consistencyGate(t *testing.T, tab *Table, res ConsistencyResult) {
 	out := tab.String()
 	if res.Off.Violations == 0 || res.Off.Linearizable {
 		t.Fatalf("nemesis search found no stale read in the first-ack arm (%d seeds tried):\n%s",
@@ -42,34 +35,5 @@ func TestConsistencyGate(t *testing.T) {
 		if a.HistOps == 0 || a.HistKeys == 0 {
 			t.Fatalf("%s arm recorded an empty history:\n%s", a.Mode, out)
 		}
-	}
-}
-
-// consistencyReplay keeps the first TestConsistencyDeterminism output
-// for the process lifetime; `go test -count=2` re-enters in the same
-// process and compares a complete fresh run byte-for-byte — seed
-// search, minimization, and both arms must replay identically.
-var consistencyReplay struct {
-	sync.Mutex
-	first string
-}
-
-func TestConsistencyDeterminism(t *testing.T) {
-	tab, res := ConsistencyScenario(cluster.Apt())
-	var sb strings.Builder
-	sb.WriteString(tab.String())
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	consistencyReplay.Lock()
-	defer consistencyReplay.Unlock()
-	if consistencyReplay.first == "" {
-		consistencyReplay.first = out
-		return
-	}
-	if out != consistencyReplay.first {
-		t.Fatalf("consistency run diverged from the first in-process run (leaked global state?):\n--- first ---\n%s--- this run ---\n%s",
-			consistencyReplay.first, out)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCPUUseShape(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := CPUUse(cluster.Apt())
 	type rowv struct{ mops, server, client, total float64 }
 	vals := map[string]rowv{}

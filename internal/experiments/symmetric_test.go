@@ -8,7 +8,7 @@ import (
 )
 
 func TestSymmetricStudyShape(t *testing.T) {
-	defer short(t)()
+	shortWindows(t)
 	tbl := SymmetricStudy(cluster.Apt())
 	farm4 := fval(t, row(t, tbl, "4")[1])
 	farm16 := fval(t, row(t, tbl, "16")[1])
