@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"herdkv/internal/cluster"
+)
 
 // consistencyGate is the CI consistency gate: the nemesis search
 // must find a schedule under which the first-ack arm serves a provably
@@ -36,4 +40,20 @@ func consistencyGate(t *testing.T, tab *Table, res ConsistencyResult) {
 			t.Fatalf("%s arm recorded an empty history:\n%s", a.Mode, out)
 		}
 	}
+}
+
+// TestConsistencyGate applies consistencyGate to one run of the
+// consistency scenario.
+func TestConsistencyGate(t *testing.T) {
+	shortWindows(t)
+	tab, res := ConsistencyScenario(cluster.Apt())
+	consistencyGate(t, tab, res)
+}
+
+// TestConsistencyDeterminism pins replay of the consistency scenario:
+// seed search, minimization and both arms, within the run and across
+// -count entries.
+func TestConsistencyDeterminism(t *testing.T) {
+	shortWindows(t)
+	replayRow(t, registeredRow(t, "consistency"))
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"herdkv/internal/cluster"
+)
 
 // durabilityGate is the CI durability gate: zero data loss in both
 // arms, a strictly faster warm rejoin, and proof the flushcrash left a
@@ -43,4 +47,19 @@ func durabilityGate(t *testing.T, tab *Table, res DurabilityResult) {
 	if res.Warm.WALSnapshots == 0 {
 		t.Fatalf("warm arm never snapshot-compacted — SnapshotEvery not exercised:\n%s", out)
 	}
+}
+
+// TestDurabilityGate applies durabilityGate to one run of the
+// durability scenario.
+func TestDurabilityGate(t *testing.T) {
+	shortWindows(t)
+	tab, res := DurabilityScenario(cluster.Apt())
+	durabilityGate(t, tab, res)
+}
+
+// TestDurabilityReplayStable pins replay of the durability scenario:
+// table and result, within the run and across -count entries.
+func TestDurabilityReplayStable(t *testing.T) {
+	shortWindows(t)
+	replayRow(t, registeredRow(t, "durability"))
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"herdkv/internal/cluster"
 )
 
 // hotkeyGate is the acceptance bar for the near-cache tier: on the
@@ -38,4 +40,18 @@ func hotkeyGate(t *testing.T, tbl *Table, res HotkeyResult) {
 	if tbl.String() == "" {
 		t.Fatal("empty hotkey table")
 	}
+}
+
+// TestHotkeyGate applies hotkeyGate to one run of the hotkey scenario.
+func TestHotkeyGate(t *testing.T) {
+	shortWindows(t)
+	tab, res := Hotkey(cluster.Apt())
+	hotkeyGate(t, tab, res)
+}
+
+// TestHotkeyDeterminism pins replay: the whole two-arm comparison is a
+// pure function of seed and configuration.
+func TestHotkeyDeterminism(t *testing.T) {
+	shortWindows(t)
+	replayRow(t, registeredRow(t, "hotkey"))
 }

@@ -22,14 +22,22 @@ func gate[R any](g func(*testing.T, *Table, R)) func(*testing.T, *Table, any) {
 }
 
 // scenarioGates holds the acceptance gate of each registered scenario
-// with a JSON form, by target name; every such scenario needs one.
+// with a JSON form that TestScenarios checks, by target name.
 var scenarioGates = map[string]func(*testing.T, *Table, any){
 	"fleet-bench":   gate(fleetBenchGate),
 	"overload":      gate(overloadGate),
 	"clients-sweep": gate(clientsSweepGate),
-	"durability":    gate(durabilityGate),
-	"hotkey":        gate(hotkeyGate),
-	"consistency":   gate(consistencyGate),
+}
+
+// ownTests names the registered scenarios with a JSON form that keep
+// their own gate and replay tests (TestDurabilityGate and
+// TestDurabilityReplayStable, and the hotkey and consistency pairs)
+// instead of a TestScenarios row. Every JSON scenario is in exactly one
+// of scenarioGates and ownTests.
+var ownTests = map[string]bool{
+	"durability":  true,
+	"hotkey":      true,
+	"consistency": true,
 }
 
 // scenarioRows is every registered scenario with a JSON form, then
@@ -38,17 +46,26 @@ var scenarioGates = map[string]func(*testing.T, *Table, any){
 // one client-sweep point in both arms.
 func scenarioRows(t *testing.T) []scenarioRow {
 	var rows []scenarioRow
+	own := 0
 	for _, sc := range Scenarios {
-		if sc.JSON != "" {
-			g, ok := scenarioGates[sc.Name]
-			if !ok {
-				t.Fatalf("registered scenario %q has no gate in scenarioGates", sc.Name)
-			}
+		if sc.JSON == "" {
+			continue
+		}
+		g, ok := scenarioGates[sc.Name]
+		switch {
+		case ok && ownTests[sc.Name]:
+			t.Fatalf("registered scenario %q is in both scenarioGates and ownTests", sc.Name)
+		case ok:
 			rows = append(rows, scenarioRow{sc.Name, sc.Run, g})
+		case ownTests[sc.Name]:
+			own++
+		default:
+			t.Fatalf("registered scenario %q has no gate in scenarioGates and no entry in ownTests", sc.Name)
 		}
 	}
-	if len(rows) != len(scenarioGates) {
-		t.Fatalf("%d gates for %d JSON scenarios: a gate names no registered scenario", len(scenarioGates), len(rows))
+	if len(rows) != len(scenarioGates) || own != len(ownTests) {
+		t.Fatalf("%d gates and %d own tests for %d+%d JSON scenarios: an entry names no registered scenario",
+			len(scenarioGates), len(ownTests), len(rows), own)
 	}
 	return append(rows,
 		scenarioRow{name: "fig5", run: tableOnly(Fig5Echo)},
@@ -80,6 +97,18 @@ func (a scenarioRun) equal(b scenarioRun) bool {
 	return a.text == b.text && reflect.DeepEqual(a.res, b.res)
 }
 
+// registeredRow is the registered scenario name as a row without a gate.
+func registeredRow(t *testing.T, name string) scenarioRow {
+	t.Helper()
+	for _, sc := range Scenarios {
+		if sc.Name == name {
+			return scenarioRow{name: sc.Name, run: sc.Run}
+		}
+	}
+	t.Fatalf("no registered scenario %q", name)
+	return scenarioRow{}
+}
+
 func runRow(r scenarioRow) (*Table, scenarioRun) {
 	tbl, res := r.run(cluster.Apt())
 	if tbl == nil {
@@ -107,19 +136,28 @@ func TestScenarios(t *testing.T) {
 	for _, r := range scenarioRows(t) {
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			tbl, got := runRow(r)
-			if _, again := runRow(r); !got.equal(again) {
-				t.Fatalf("replay diverged within the run:\n--- first ---\n%s%+v\n--- second ---\n%s%+v",
-					got.text, got.res, again.text, again.res)
-			}
-			if v, loaded := scenarioFirst.LoadOrStore(r.name, got); loaded && !got.equal(v.(scenarioRun)) {
-				first := v.(scenarioRun)
-				t.Fatalf("run diverged from the first in-process entry (leaked global state?):\n--- first ---\n%s%+v\n--- this entry ---\n%s%+v",
-					first.text, first.res, got.text, got.res)
-			}
+			tbl, res := replayRow(t, r)
 			if r.gate != nil {
-				r.gate(t, tbl, got.res)
+				r.gate(t, tbl, res)
 			}
 		})
 	}
+}
+
+// replayRow runs r twice and fails t unless both runs, and the first
+// run of every earlier -count entry, have the same table and result.
+// It returns the first run.
+func replayRow(t *testing.T, r scenarioRow) (*Table, any) {
+	t.Helper()
+	tbl, got := runRow(r)
+	if _, again := runRow(r); !got.equal(again) {
+		t.Fatalf("replay diverged within the run:\n--- first ---\n%s%+v\n--- second ---\n%s%+v",
+			got.text, got.res, again.text, again.res)
+	}
+	if v, loaded := scenarioFirst.LoadOrStore(r.name, got); loaded && !got.equal(v.(scenarioRun)) {
+		first := v.(scenarioRun)
+		t.Fatalf("run diverged from the first in-process entry (leaked global state?):\n--- first ---\n%s%+v\n--- this entry ---\n%s%+v",
+			first.text, first.res, got.text, got.res)
+	}
+	return tbl, got.res
 }
