@@ -51,9 +51,7 @@ func main() {
 	perQP := flag.Bool("perqp", false, "with -metrics: also keep per-queue-pair posted counters")
 	faultsFile := flag.String("faults", "", "chaos script for the chaos target (overrides the packaged scenario)")
 	var names, jsonTargets []string
-	byName := make(map[string]experiments.Scenario)
 	for _, sc := range experiments.Scenarios {
-		byName[sc.Name] = sc
 		names = append(names, sc.Name)
 		if sc.JSON != "" {
 			jsonTargets = append(jsonTargets, sc.Name)
@@ -91,16 +89,13 @@ func main() {
 		return
 	}
 
-	want := flag.Args()
-	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {
-		want = names
+	targets, err := resolveTargets(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	for _, name := range want {
-		sc, ok := byName[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q; -list shows options\n", name)
-			os.Exit(2)
-		}
+	for _, sc := range targets {
+		name := sc.Name
 		if name == "chaos" && *faultsFile != "" {
 			sc.Run = chaosScript(*faultsFile)
 		}
@@ -125,6 +120,29 @@ func main() {
 	if *traceFile != "" {
 		writeFile(*traceFile, sink.Tracer.WriteChromeTrace)
 	}
+}
+
+// resolveTargets maps the command-line target names to registry rows,
+// in order; no names or "all" selects every row. Every name is checked
+// before any target runs, so a typo late in the list fails at once
+// instead of after the earlier targets' work.
+func resolveTargets(args []string) ([]experiments.Scenario, error) {
+	if len(args) == 0 || (len(args) == 1 && args[0] == "all") {
+		return experiments.Scenarios, nil
+	}
+	byName := make(map[string]experiments.Scenario, len(experiments.Scenarios))
+	for _, sc := range experiments.Scenarios {
+		byName[sc.Name] = sc
+	}
+	targets := make([]experiments.Scenario, 0, len(args))
+	for _, name := range args {
+		sc, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown target %q; -list shows options", name)
+		}
+		targets = append(targets, sc)
+	}
+	return targets, nil
 }
 
 // chaosScript runs the chaos target under the schedule in path instead

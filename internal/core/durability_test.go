@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"herdkv/internal/kv"
@@ -197,5 +198,91 @@ func TestRecoveryHookFires(t *testing.T) {
 	cl.Eng.Run()
 	if len(got) != 1 || !got[0].Warm {
 		t.Fatalf("recovery hook calls = %+v, want one warm recovery", got)
+	}
+}
+
+// TestLargePreloadKeepsGroupCommitWindow preloads about four times
+// SnapshotEvery, drives group-commit PUTs and crashes the server. The
+// preload must not hold the log's group commits behind a full-state
+// snapshot: every PUT acked longer than the commit window before the
+// crash survives the warm restart, and the restart's catch-up bound
+// (RecoveryInfo.Since) moves up to the crash instead of staying at the
+// preload instant.
+func TestLargePreloadKeepsGroupCommitWindow(t *testing.T) {
+	const (
+		preloadKeys = 8 << 10
+		preloadLen  = 512 // ~4.5 MB of log against the default 1 MiB SnapshotEvery
+		crashAt     = 1 * sim.Millisecond
+		// window bounds a group-commit record's time to durable: the
+		// 5us flush interval, one batch's device time and one snapshot
+		// chunk, with margin.
+		window = 50 * sim.Microsecond
+	)
+	cfg := chaosConfig()
+	cfg.Durability = DurabilityGroupCommit
+	cfg.Mica = mica.Config{IndexBuckets: 1 << 11, BucketSlots: 8, LogBytes: 4 << 20}
+	cl, srv, clients := newHERD(t, cfg, 1)
+	val := bytes.Repeat([]byte{'p'}, preloadLen)
+	for i := uint64(0); i < preloadKeys; i++ {
+		if err := srv.Preload(kv.FromUint64(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type ack struct {
+		key kv.Key
+		val []byte
+		at  sim.Time
+	}
+	var acks []ack
+	c, next := clients[0], uint64(preloadKeys)
+	var put func()
+	put = func() {
+		if cl.Eng.Now() >= crashAt {
+			return
+		}
+		key, v := kv.FromUint64(next), []byte(fmt.Sprintf("put-%d", next))
+		next++
+		c.Put(key, v, func(r Result) {
+			if r.Status == kv.StatusHit && cl.Eng.Now() < crashAt {
+				acks = append(acks, ack{key, v, cl.Eng.Now()})
+			}
+			put()
+		})
+	}
+	for i := 0; i < cfg.Window; i++ {
+		put()
+	}
+	cl.Eng.At(crashAt, func() {
+		srv.Crash()
+		srv.Restart()
+	})
+	cl.Eng.Run()
+
+	old, lost := 0, 0
+	for _, a := range acks {
+		if a.at >= crashAt-window {
+			continue // inside the group-commit window: allowed to die
+		}
+		old++
+		if v, ok := lookup(srv, a.key); !ok || !bytes.Equal(v, a.val) {
+			lost++
+		}
+	}
+	if old < 100 {
+		t.Fatalf("only %d PUTs acked before the window; the test drove too little load", old)
+	}
+	if lost > 0 {
+		t.Errorf("crash lost %d of %d PUTs acked more than %.0fus before it", lost, old, sim.Time(window).Microseconds())
+	}
+	rec := srv.LastRecovery()
+	if !rec.Warm || rec.Since < crashAt-window {
+		t.Errorf("recovery %+v: Since %.1fus, want a warm restart with Since within %.0fus of the crash at %.0fus",
+			rec, rec.Since.Microseconds(), sim.Time(window).Microseconds(), sim.Time(crashAt).Microseconds())
+	}
+	for i := uint64(0); i < preloadKeys; i += preloadKeys / 8 {
+		if v, ok := lookup(srv, kv.FromUint64(i)); !ok || !bytes.Equal(v, val) {
+			t.Fatalf("preloaded key %d lost by the crash", i)
+		}
 	}
 }

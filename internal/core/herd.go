@@ -732,6 +732,8 @@ func (s *Server) Partition(i int) *mica.Cache { return s.parts[i] }
 // durable (the control-plane path models data loaded before the run):
 // otherwise a crash before the first flush would replay the log to a
 // pre-preload view and silently resurrect deleted or stale state.
+// AppendDurable encodes the value before it returns, so the log keeps
+// no reference to the caller's bytes.
 func (s *Server) Preload(key kv.Key, value []byte) error {
 	part := s.parts[mica.Partition(key, s.cfg.NS)]
 	if s.cfg.VersionedValues {
@@ -743,20 +745,12 @@ func (s *Server) Preload(key kv.Key, value []byte) error {
 			return err
 		}
 		if s.wlog != nil {
-			s.wlog.AppendDurable(wal.Record{
-				Op: wal.OpPut, Key: key,
-				Value: append([]byte(nil), value...),
-				Epoch: s.epoch,
-			})
+			s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
 		}
 		return nil
 	}
 	if s.wlog != nil {
-		s.wlog.AppendDurable(wal.Record{
-			Op: wal.OpPut, Key: key,
-			Value: append([]byte(nil), value...),
-			Epoch: s.epoch,
-		})
+		s.wlog.AppendDurable(wal.Record{Op: wal.OpPut, Key: key, Value: value, Epoch: s.epoch})
 	}
 	return part.Put(key, value)
 }

@@ -126,6 +126,12 @@ func decodeAll(buf []byte) (recs []Record, clean int, torn int) {
 	return recs, off, len(buf) - off
 }
 
+// snapshotChunk is the size of one compaction device write. A
+// compaction image goes to the device chunk by chunk, each submitted
+// when the previous one lands, so a group commit queues behind at most
+// one chunk instead of the whole image.
+const snapshotChunk = 16 << 10
+
 // Config parameterizes the log's group commit and persist device.
 // Zero values take the defaults below (an NVM-class device).
 type Config struct {
@@ -141,8 +147,10 @@ type Config struct {
 	// BytesPerSec is the device's sequential write (and recovery read)
 	// bandwidth (default 2 GB/s).
 	BytesPerSec float64
-	// SnapshotEvery triggers snapshot compaction after this many bytes
-	// of durable log growth (default 1 MiB; negative disables).
+	// SnapshotEvery is the floor of the compaction trigger: the log
+	// compacts once its tail has grown by this many bytes and by the
+	// current snapshot's size, whichever is larger (default 1 MiB;
+	// negative disables).
 	SnapshotEvery int
 	// ReplayApply is the CPU cost of re-applying one record into the
 	// MICA partitions during recovery (default 20ns).
@@ -184,14 +192,15 @@ type pendingRec struct {
 // completes, also when a crash made that completion stale — so a
 // flight is never reused while its completion is still scheduled.
 type flight struct {
-	l      *Log
-	gen    int // the log's crash generation when the write started
-	buf    []byte
-	cbs    []func()
-	start  sim.Time
-	dur    sim.Time
-	lastAt sim.Time // append instant of the batch's final record
-	done   func(sim.Time)
+	l       *Log
+	gen     int // the log's crash generation when the write started
+	buf     []byte
+	cbs     []func()
+	start   sim.Time // when the device begins the write (it may queue behind a snapshot chunk)
+	dur     sim.Time
+	firstAt sim.Time // append instant of the batch's oldest record
+	lastAt  sim.Time // append instant of the batch's final record
+	done    func(sim.Time)
 }
 
 // flushTimer is one armed group-commit interval timer. Timers are
@@ -235,11 +244,20 @@ type Log struct {
 	snapBase   int // len(durable) right after the last compaction
 	lastDurAt  sim.Time
 	inflight   *flight
-	snapInProg bool
 	timerArmed bool
 	flushDue   bool // interval elapsed while the device was busy
 	maxEpoch   int
 	source     func(emit func(key kv.Key, value []byte))
+
+	// The compaction in progress: its image, how many of its bytes the
+	// device has been handed, and the instant the live state was walked.
+	// snapWait holds the next chunk back until the flush in flight
+	// commits.
+	snapInProg bool
+	snapWait   bool
+	snapBuf    []byte
+	snapSent   int
+	snapAt     sim.Time
 
 	// gen cancels scheduled completions across a crash: timers and
 	// device callbacks captured under an older generation are dead.
@@ -256,6 +274,7 @@ type Log struct {
 	telAppends, telFlushes   *telemetry.Counter
 	telReplayed, telSnapshot *telemetry.Counter
 	telTorn                  *telemetry.Counter
+	telLag                   *telemetry.Histogram
 }
 
 // New returns an empty log on eng. tel may be nil.
@@ -267,6 +286,7 @@ func New(eng *sim.Engine, cfg Config, tel *telemetry.Sink) *Log {
 	l.telReplayed = tel.Counter("wal.replayed")
 	l.telSnapshot = tel.Counter("wal.snapshot.bytes")
 	l.telTorn = tel.Counter("wal.torn.bytes")
+	l.telLag = tel.Histogram("wal.lag")
 	return l
 }
 
@@ -326,6 +346,13 @@ func (l *Log) Append(r Record, onDurable func()) {
 // for Server.Preload: preloaded state models data loaded before the
 // run starts, so it must be in the log from instant zero — otherwise a
 // crash before the first flush would replay to a pre-preload view.
+//
+// Before the clock first advances the log has no tail, and the record
+// joins the initial snapshot: a preload is the image the log starts
+// from, not growth the first compaction must rewrite. Replay applies
+// the snapshot first, so replay order is unchanged. Every later record
+// (fleet catch-up, migration) goes to the tail, where RecordsSince sees
+// it.
 func (l *Log) AppendDurable(r Record) {
 	if l.crashed {
 		return
@@ -336,6 +363,10 @@ func (l *Log) AppendDurable(r Record) {
 	}
 	l.appends++
 	l.telAppends.Inc()
+	if r.At == 0 && len(l.durable) == 0 {
+		l.snapshot = appendRecord(l.snapshot, r)
+		return
+	}
 	l.durable = appendRecord(l.durable, r)
 	l.lastDurAt = r.At
 }
@@ -390,15 +421,17 @@ func (t *flushTimer) expire() {
 	l.kick()
 }
 
-// kick starts a flush if the device is free; otherwise marks one due
-// for when the in-progress write completes.
+// kick starts a flush unless one is already in flight; then it marks
+// one due for when that write completes. A compaction does not hold
+// the flush back: its chunks and the flush share the device in FIFO
+// order.
 //
 //herd:hotpath
 func (l *Log) kick() {
 	if len(l.pending) == 0 {
 		return
 	}
-	if l.inflight != nil || l.snapInProg {
+	if l.inflight != nil {
 		l.flushDue = true
 		return
 	}
@@ -421,6 +454,7 @@ func (l *Log) startFlush() {
 		fl = newFlight(l) //lint:allow hotalloc — pool growth: a log needs two flights, the committing one and the next
 	}
 	fl.buf, fl.cbs = fl.buf[:0], fl.cbs[:0]
+	fl.firstAt = l.pending[0].rec.At
 	for i := range l.pending {
 		p := &l.pending[i]
 		fl.buf = appendRecord(fl.buf, p.rec)
@@ -436,7 +470,7 @@ func (l *Log) startFlush() {
 	l.pending = l.pending[:0]
 	l.stage = l.stage[:0]
 	fl.gen = l.gen
-	fl.start = l.clk.Now()
+	fl.start = l.dev.NextFree()
 	fl.dur = l.xfer(len(fl.buf)) + l.cfg.PersistLatency
 	l.inflight = fl
 	l.dev.Submit(fl.dur, fl.done)
@@ -465,6 +499,8 @@ func (fl *flight) complete(sim.Time) {
 
 // commitFlush lands one completed device write: the batch is durable,
 // its ack callbacks fire, and a snapshot or follow-on flush may start.
+// The batch's lag — how long its oldest record waited to become
+// durable — goes to the wal.lag histogram.
 //
 //herd:hotpath
 func (l *Log) commitFlush(fl *flight) {
@@ -474,70 +510,103 @@ func (l *Log) commitFlush(fl *flight) {
 	l.flushes++
 	l.flushedBytes += uint64(len(fl.buf))
 	l.telFlushes.Inc()
+	l.telLag.RecordTime(l.clk.Now() - fl.firstAt)
 	for _, cb := range fl.cbs {
 		cb()
 	}
-	l.maybeSnapshot() //lint:allow hotalloc — compaction, once per SnapshotEvery bytes of log
 	if l.flushDue || len(l.pending) >= l.cfg.FlushBatch {
 		l.flushDue = false
 		l.kick()
 	} else if len(l.pending) > 0 {
 		l.armTimer()
 	}
+	// Compaction goes behind the follow-on flush, so no batch waits
+	// for more than one snapshot chunk.
+	l.advanceSnapshot() //lint:allow hotalloc — compaction: a new image per trigger, then one chunk per write
 }
 
-// maybeSnapshot starts a compaction when the durable log has grown
-// past the threshold: the live state (via the snapshot source) is
-// persisted as a fresh snapshot, and on completion the log truncates
-// every record the snapshot already covers. A crash mid-snapshot
-// cancels it cleanly — the swap is atomic at completion, so recovery
-// always sees either the old (snapshot, log) pair or the new one.
-func (l *Log) maybeSnapshot() {
-	if l.cfg.SnapshotEvery <= 0 || l.source == nil || l.snapInProg || l.inflight != nil {
+// advanceSnapshot hands the device a waiting compaction's next chunk,
+// or starts a compaction once the tail has grown past
+// max(SnapshotEvery, len(snapshot)) bytes since the last one: the live
+// state (via the snapshot source) is encoded as a fresh image and
+// written to the device chunk by chunk, and the last chunk's completion
+// swaps it in and truncates every record the image covers. Sizing the
+// trigger to the image bounds the bytes a compaction rewrites to about
+// the bytes appended since the previous one (write amplification near
+// 2x) and replay reads to about twice the live state. A crash
+// mid-snapshot cancels it cleanly — the swap is atomic at the last
+// chunk, so recovery always sees either the old (snapshot, log) pair or
+// the new one.
+func (l *Log) advanceSnapshot() {
+	if l.snapWait {
+		l.snapWait = false
+		l.writeSnapshotChunk()
 		return
 	}
-	if len(l.durable)-l.snapBase < l.cfg.SnapshotEvery {
+	if l.cfg.SnapshotEvery <= 0 || l.source == nil || l.snapInProg {
 		return
 	}
+	if len(l.durable)-l.snapBase < max(l.cfg.SnapshotEvery, len(l.snapshot)) {
+		return
+	}
+	epoch := max(l.maxEpoch, 0)
 	takenAt := l.clk.Now()
-	epoch := l.maxEpoch
-	if epoch < 0 {
-		epoch = 0
-	}
 	var buf []byte
 	l.source(func(key kv.Key, value []byte) {
 		buf = appendRecord(buf, Record{Op: OpPut, Key: key, Value: value, Epoch: epoch, At: takenAt})
 	})
-	l.snapInProg = true
+	l.snapInProg, l.snapBuf, l.snapSent, l.snapAt = true, buf, 0, takenAt
+	l.writeSnapshotChunk()
+}
+
+// writeSnapshotChunk hands the device the compaction image's next
+// chunk. The last chunk carries the persist fence, so the image costs
+// the device what one write of it would; its completion installs it.
+// A chunk that lands while a flush is queued behind it leaves the next
+// one waiting for that flush's commit.
+func (l *Log) writeSnapshotChunk() {
+	n := min(snapshotChunk, len(l.snapBuf)-l.snapSent)
+	l.snapSent += n
+	last := l.snapSent == len(l.snapBuf)
+	dur := l.xfer(n)
+	if last {
+		dur += l.cfg.PersistLatency
+	}
 	gen := l.gen
-	dur := l.xfer(len(buf)) + l.cfg.PersistLatency
 	l.dev.Submit(dur, func(sim.Time) {
-		if gen != l.gen {
-			return
-		}
-		l.snapInProg = false
-		l.snapshot = buf
-		l.snapshots++
-		l.snapshotBytes += uint64(len(buf))
-		l.telSnapshot.Add(uint64(len(buf)))
-		// Drop every durable record the snapshot covers. Records
-		// appended after takenAt (flushed while the snapshot was
-		// persisting, or pending then) survive as the new tail; replay
-		// order (snapshot, then tail) keeps last-writer-wins intact.
-		recs, _, _ := decodeAll(l.durable)
-		var tail []byte
-		for _, r := range recs {
-			if r.At > takenAt {
-				tail = appendRecord(tail, r)
-			}
-		}
-		l.durable = tail
-		l.snapBase = len(tail)
-		if l.flushDue || len(l.pending) >= l.cfg.FlushBatch {
-			l.flushDue = false
-			l.kick()
+		switch {
+		case gen != l.gen: // a crash cancelled the compaction
+		case last:
+			l.installSnapshot()
+		case l.inflight != nil:
+			l.snapWait = true
+		default:
+			l.writeSnapshotChunk()
 		}
 	})
+}
+
+// installSnapshot swaps the persisted image in and drops every durable
+// record it covers. Records appended after the live-state walk (flushed
+// while the image was being written, or pending then) survive as the
+// new tail; replay order (snapshot, then tail) keeps last-writer-wins
+// intact.
+func (l *Log) installSnapshot() {
+	buf := l.snapBuf
+	l.snapInProg, l.snapBuf = false, nil
+	l.snapshot = buf
+	l.snapshots++
+	l.snapshotBytes += uint64(len(buf))
+	l.telSnapshot.Add(uint64(len(buf)))
+	recs, _, _ := decodeAll(l.durable)
+	var tail []byte
+	for _, r := range recs {
+		if r.At > l.snapAt {
+			tail = appendRecord(tail, r)
+		}
+	}
+	l.durable = tail
+	l.snapBase = len(tail)
 }
 
 // Crash models power loss: pending (unflushed) records vanish, and a
@@ -559,7 +628,7 @@ func (l *Log) CrashTorn() {
 	if l.crashed {
 		return
 	}
-	if l.inflight == nil && len(l.pending) > 0 && !l.snapInProg {
+	if l.inflight == nil && len(l.pending) > 0 {
 		l.startFlush()
 	}
 	cut := -1
@@ -584,7 +653,7 @@ func (l *Log) crashAt(cut int) {
 	l.gen++
 	l.timerArmed = false
 	l.flushDue = false
-	l.snapInProg = false
+	l.snapInProg, l.snapWait, l.snapBuf = false, false, nil
 	for i := range l.pending {
 		l.pending[i] = pendingRec{}
 	}
@@ -592,6 +661,8 @@ func (l *Log) crashAt(cut int) {
 	if fl := l.inflight; fl != nil {
 		n := cut
 		if n < 0 {
+			// A flush still queued behind a snapshot chunk has not
+			// started: elapsed is negative and nothing persists.
 			elapsed := l.clk.Now() - fl.start
 			if fl.dur > 0 {
 				n = int(float64(len(fl.buf)) * float64(elapsed) / float64(fl.dur))
